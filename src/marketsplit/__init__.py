@@ -39,7 +39,6 @@ from .validate import (
     encode_batch,
     encode_vector,
     get_backend,
-    hash_two,
     match_batch,
     validate_chunked,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "encode_vector",
     "generate_instance",
     "get_backend",
-    "hash_two",
     "match_batch",
     "parse_instance",
     "permuted_rhs",

@@ -4,9 +4,11 @@ The column set is split into four contiguous blocks A, B, C, D of
 near-equal size.  Each block's full power set is tabulated once, sorted
 by first-row subset sum (ascending for A and B, descending for C and D),
 with the complete per-row contribution vector precomputed for every
-subset.  Two heaps then stream pair sums without materializing either
-half power set, which is the point of the four-table scheme: space stays
-at 4 * 2^(n/4) table entries while the heaps never grow past |B| and |D|.
+subset, plus that vector's linear 64-bit hash (see `encode_vector`), so
+the validator can hash a pair's residual from two table lookups.  Two
+heaps then stream pair sums without materializing either half power
+set, which is the point of the four-table scheme: space stays at
+4 * 2^(n/4) table entries while the heaps never grow past |B| and |D|.
 
 H1 is a min-heap holding one entry per B-subset, keyed by the combined
 first-row weight of (current A position, that B-subset); H2 mirrors it
@@ -28,11 +30,46 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .instances import MASK64, MspInstance, SolutionVector
+from .instances import MASK64, MspInstance, SolutionVector, SplitMix64
+
+#: Seed of the SplitMix64 stream that yields the hash multipliers.
+HASH_SEED = 0x5EED_1EAF_0DD5_CA1E
+
+
+@lru_cache(maxsize=None)
+def hash_multipliers(m: int) -> tuple[int, ...]:
+    """The m odd 64-bit multipliers r_0..r_{m-1} of the residual hash.
+
+    They are the first m outputs of a fixed SplitMix64 stream with the
+    low bit forced, so the multipliers for m are a prefix of those for
+    m + 1 and never change between runs or platforms.
+    """
+    rng = SplitMix64(HASH_SEED)
+    return tuple(rng.next_u64() | 1 for _ in range(m))
+
+
+def encode_vector(vec: Sequence[int]) -> int:
+    """Linear 64-bit hash h(v) = sum_j r_j * v_j mod 2^64.
+
+    This is the multiply-add (Carter-Wegman / Dietzfelbinger) family with
+    odd r_j.  Being linear, h(u + v) = h(u) + h(v) mod 2^64, so a sum of
+    table entries hashes to the sum of their precomputed hashes, and a
+    coordinate that wrapped below zero hashes as its value mod 2^64.
+    """
+    r = hash_multipliers(len(vec))
+    return sum(rj * int(v) for rj, v in zip(r, vec)) & MASK64
+
+
+def encode_batch(vectors: np.ndarray) -> np.ndarray:
+    """Vectorized `encode_vector` over the rows of an (N, m) uint64 array."""
+    vectors = np.asarray(vectors, dtype=np.uint64)
+    r = np.array(hash_multipliers(vectors.shape[1]), dtype=np.uint64)
+    return vectors @ r
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -42,8 +79,9 @@ class QuarterTable:
     `masks` identify subsets (bit t selects `var_indices[t]`); `contribs`
     holds every instance row's subset sum per entry, with the enumerated
     row first (`row_map` gives the contribution-coordinate -> instance-row
-    correspondence), so `contribs[:, 0] == weights`.  `run_end[i]` is the
-    end of the maximal equal-weight run containing entry i.
+    correspondence), so `contribs[:, 0] == weights`, and `hashes[i]` is
+    `encode_vector(contribs[i])`.  `run_end[i]` is the end of the maximal
+    equal-weight run containing entry i.
     """
 
     var_indices: tuple[int, ...]
@@ -51,6 +89,7 @@ class QuarterTable:
     weights: np.ndarray
     masks: np.ndarray
     contribs: np.ndarray
+    hashes: np.ndarray
     run_end: np.ndarray
     row_map: tuple[int, ...]
 
@@ -118,8 +157,9 @@ def build_quarter_tables(
         weights = np.ascontiguousarray(weights[order])
         masks = np.ascontiguousarray(masks[order])
         contribs = np.ascontiguousarray(contribs[order])
+        hashes = encode_batch(contribs)
         run_end = _run_ends(weights)
-        for arr in (weights, masks, contribs, run_end):
+        for arr in (weights, masks, contribs, hashes, run_end):
             arr.setflags(write=False)
         tables.append(
             QuarterTable(
@@ -128,6 +168,7 @@ def build_quarter_tables(
                 weights=weights,
                 masks=masks,
                 contribs=contribs,
+                hashes=hashes,
                 run_end=run_end,
                 row_map=row_map,
             )

@@ -24,7 +24,7 @@ try:
     from numba import njit
 
     _NUMBA_OK = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional "jit" extra
     _NUMBA_OK = False
 
     def njit(*args, **kwargs):  # type: ignore[misc]

@@ -1,139 +1,11 @@
-"""Fused validation kernel for the data-parallel backend.
+"""Placeholder for the removed compiled validation kernel.
 
-The numpy validation path materializes residual vectors, hashes them,
-sorts one hash set, and binary-searches the other; sorting 64-bit keys
-is the dominant cost once batches reach 10^5 pairs.  This kernel does
-the whole join in one compiled pass: it folds each pair's residual
-coordinates straight into the 64-bit hash (never storing the vectors),
-builds a bucket-chain index over the left hashes, and probes it with
-each right hash.  Chains are linked in ascending left order, and rights
-probe in order, so full-hash hits come out exactly as the sorted-search
-path emits them: (right index, then left index among equal hashes).
-
-Hash values are bit-identical to `validate.encode_vector` (same fold,
-same wrapping arithmetic), and hits are still confirmed afterwards by
-exact vector comparison, so results cannot differ from the unfused
-path.  Combined contribution sums cannot overflow: they are bounded by
-full row sums, which instance invariants keep below 2^64.
+Validation has one implementation, the numpy bitmap join in
+`validate.py`, so nothing here is compiled.  The module stays so that
+tools reporting which kernels run compiled can still ask.
 """
-
-from __future__ import annotations
-
-import numpy as np
-
-try:
-    from numba import njit
-
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _NUMBA_OK = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 def available() -> bool:
-    return _NUMBA_OK
-
-
-_OFFSET = np.uint64(0xCBF29CE484222325)
-_PRIME = np.uint64(0x100000001B3)
-
-
-@njit(cache=True, nogil=True)
-def _join_pairs(
-    contrib_a, contrib_b, left_pairs,
-    contrib_c, contrib_d, right_pairs,
-    d, alpha, heads, links, left_hashes, out,
-):
-    """Hash join of left and right residuals.
-
-    Writes (left, right) index pairs with equal full hashes into `out`
-    and returns (hash hit count, filtered right count, alpha mismatch
-    count).  A hit count beyond len(out) means the buffer was too small
-    and the call must be retried.
-    """
-    nl = left_pairs.shape[0]
-    nr = right_pairs.shape[0]
-    m = contrib_a.shape[1]
-    mask = np.uint64(heads.shape[0] - 1)
-    cap = out.shape[0]
-    bad = 0
-
-    for t in range(nl):
-        ia = left_pairs[t, 0]
-        ib = left_pairs[t, 1]
-        if contrib_a[ia, 0] + contrib_b[ib, 0] != alpha:
-            bad += 1
-        h = _OFFSET
-        for j in range(m):
-            h = (h ^ (contrib_a[ia, j] + contrib_b[ib, j])) * _PRIME
-        left_hashes[t] = h
-    # Head-insert in reverse so every chain walks ascending left indices.
-    for t in range(nl - 1, -1, -1):
-        b = left_hashes[t] & mask
-        links[t] = heads[b]
-        heads[b] = t
-
-    n_out = 0
-    filtered = 0
-    for r in range(nr):
-        ic = right_pairs[r, 0]
-        idx = right_pairs[r, 1]
-        keep = True
-        h = _OFFSET
-        for j in range(m):
-            s = contrib_c[ic, j] + contrib_d[idx, j]
-            if s > d[j]:
-                keep = False
-                break
-            res = d[j] - s
-            if j == 0 and res != alpha:
-                bad += 1
-            h = (h ^ res) * _PRIME
-        if not keep:
-            filtered += 1
-            continue
-        t = heads[h & mask]
-        while t != -1:
-            if left_hashes[t] == h:
-                if n_out < cap:
-                    out[n_out, 0] = t
-                    out[n_out, 1] = r
-                n_out += 1
-            t = links[t]
-    return n_out, filtered, bad
-
-
-def _bucket_bits(n_left: int) -> int:
-    bits = max(10, (max(n_left, 1) - 1).bit_length() + 1)
-    return min(bits, 22)
-
-
-def join_pairs(
-    contrib_a, contrib_b, left_pairs,
-    contrib_c, contrib_d, right_pairs,
-    d, alpha: int,
-) -> tuple[np.ndarray, int, int]:
-    """Full-hash-equal (left, right) index pairs, plus hit and filter counts."""
-    nl = len(left_pairs)
-    heads = np.full(1 << _bucket_bits(nl), -1, dtype=np.int64)
-    links = np.empty(nl, dtype=np.int64)
-    left_hashes = np.empty(nl, dtype=np.uint64)
-    cap = 1024
-    while True:
-        out = np.empty((cap, 2), dtype=np.int64)
-        n_out, filtered, bad = _join_pairs(
-            contrib_a, contrib_b, left_pairs,
-            contrib_c, contrib_d, right_pairs,
-            d, np.uint64(alpha), heads, links, left_hashes, out,
-        )
-        if bad:
-            raise AssertionError("residual coordinate 0 disagrees with alpha")
-        if n_out <= cap:
-            return out[:n_out], n_out, filtered
-        cap = n_out
-        heads.fill(-1)
+    """Always False: there is no compiled validator."""
+    return False

@@ -143,6 +143,12 @@ class MspInstance:
         return f"MspInstance(m={self.m}, n={self.n}, k_bound={self.k_bound})"
 
 
+def _is_decimal(tok: str) -> bool:
+    """True for ASCII [0-9]+ only; int() also takes '+3', '1_0' and
+    non-ASCII digits, which the format does not allow."""
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_instance(text: str | TextIO | Iterable[str]) -> MspInstance:
     """Parse instance text (string, open file, or iterable of lines)."""
     if hasattr(text, "read"):
@@ -168,10 +174,9 @@ def parse_instance(text: str | TextIO | Iterable[str]) -> MspInstance:
             header_lineno,
             f"malformed header: expected 'm n', found {len(header)} tokens",
         )
-    try:
-        m, n = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(header_lineno, "malformed header: non-integer token") from None
+    if not all(_is_decimal(tok) for tok in header):
+        raise ParseError(header_lineno, "malformed header: non-integer token")
+    m, n = int(header[0]), int(header[1])
     if m < 1 or n < 1:
         raise ParseError(header_lineno, f"malformed header: m={m}, n={n} must be positive")
 
@@ -185,11 +190,11 @@ def parse_instance(text: str | TextIO | Iterable[str]) -> MspInstance:
             )
         values: list[int] = []
         for tok in tokens:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(lineno, f"row {r}: non-integer token '{tok}'") from None
-            if v < 0 or v >= VALUE_LIMIT:
+            negative = tok.startswith("-")
+            if not _is_decimal(tok[1:] if negative else tok):
+                raise ParseError(lineno, f"row {r}: non-integer token '{tok}'")
+            v = int(tok)
+            if negative or v >= VALUE_LIMIT:
                 raise ParseError(
                     lineno,
                     f"row {r}: value {v} out of range (must be in [0, 2**63))",

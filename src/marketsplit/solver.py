@@ -55,6 +55,19 @@ class SolveTimeout(Exception):
     """Raised when a time limit expires before a verdict is reached."""
 
 
+class _Deadline:
+    """Time-limit check, usable as `validate_chunked`'s `should_stop`.
+    It stays fired, so a caller can tell that a batch was abandoned."""
+
+    def __init__(self, at: float | None):
+        self.at, self.fired = at, False
+
+    def __call__(self) -> bool:
+        if self.at is not None and time.perf_counter() > self.at:
+            self.fired = True
+        return self.fired
+
+
 @dataclass
 class SolverConfig:
     """Solve knobs.
@@ -93,12 +106,14 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
+    """Counters and timings of one solve (fields are listed in README)."""
+
     batches: int = 0
     candidates_left: int = 0
     candidates_right: int = 0
     hash_hits: int = 0
     exact_hits: int = 0
-    filtered_residuals: int = 0
+    max_batch_pairs: int = 0
     peak_table_entries: int = 0
     peak_heap1: int = 0
     peak_heap2: int = 0
@@ -116,7 +131,7 @@ class SolveStats:
             "candidates_right": self.candidates_right,
             "hash_hits": self.hash_hits,
             "exact_hits": self.exact_hits,
-            "filtered_residuals": self.filtered_residuals,
+            "max_batch_pairs": self.max_batch_pairs,
             "peak_table_entries": self.peak_table_entries,
             "peak_heap1": self.peak_heap1,
             "peak_heap2": self.peak_heap2,
@@ -258,21 +273,25 @@ def _run_sequential(
 ) -> list[SolutionVector]:
     backend = get_backend(cfg.backend)
     vstats = ValidationStats()
+    expired = _Deadline(deadline)
     found: list[SolutionVector] = []
     while True:
-        if deadline is not None and time.perf_counter() > deadline:
+        if expired():
             raise SolveTimeout("time limit exceeded")
         t0 = time.perf_counter()
         batch = enumerator.next_batch()
         stats.t_enumerate += time.perf_counter() - t0
         if batch is None:
             break
-        stats.batches += 1
+        _count_batch(stats, batch)
         t0 = time.perf_counter()
         sols = validate_chunked(
-            batch, tables, work, chunk, backend, d_perm, vstats
+            batch, tables, work, chunk, backend, d_perm, vstats,
+            should_stop=expired,
         )
         stats.t_validate += time.perf_counter() - t0
+        if expired.fired:  # the batch was abandoned part way
+            raise SolveTimeout("time limit exceeded")
         _check_verified(original, sols)
         found.extend(sols)
         if cfg.mode == "first" and found:
@@ -281,12 +300,16 @@ def _run_sequential(
     return found
 
 
+def _count_batch(stats: SolveStats, batch) -> None:
+    stats.batches += 1
+    stats.max_batch_pairs = max(stats.max_batch_pairs, batch.n_left + batch.n_right)
+
+
 def _merge_vstats(stats: SolveStats, vstats: ValidationStats) -> None:
     stats.candidates_left += vstats.candidates_left
     stats.candidates_right += vstats.candidates_right
     stats.hash_hits += vstats.hash_hits
     stats.exact_hits += vstats.exact_hits
-    stats.filtered_residuals += vstats.filtered_residuals
 
 
 def pipeline_run(
@@ -306,7 +329,10 @@ def pipeline_run(
     The bounded buffer gives backpressure at `pipeline_depth` batches in
     flight.  A stop event (first solution found, deadline, or worker
     error) halts the producer and is polled by workers between chunk
-    pairs; a draining worker never discards a solution it already found.
+    pairs, as is the deadline; a draining worker never discards a
+    solution it already found.  In all-solutions mode only a deadline or
+    an error sets the stop event, and both end the solve with an
+    exception, so an abandoned batch is never reported as exhausted.
     """
     buffer: queue.Queue = queue.Queue(maxsize=cfg.pipeline_depth)
     stop = threading.Event()
@@ -314,15 +340,18 @@ def pipeline_run(
     results: list[tuple[int, list[SolutionVector]]] = []
     errors: list[BaseException] = []
     timed_out = threading.Event()
+    expired = _Deadline(deadline)
+
+    def cancelled() -> bool:
+        if expired():
+            timed_out.set()
+            stop.set()
+        return stop.is_set()
 
     def producer() -> None:
         seq = 0
         try:
-            while not stop.is_set():
-                if deadline is not None and time.perf_counter() > deadline:
-                    timed_out.set()
-                    stop.set()
-                    break
+            while not cancelled():
                 t0 = time.perf_counter()
                 batch = enumerator.next_batch()
                 with lock:
@@ -330,7 +359,7 @@ def pipeline_run(
                 if batch is None:
                     break
                 with lock:
-                    stats.batches += 1
+                    _count_batch(stats, batch)
                 item = (seq, batch)
                 seq += 1
                 while not stop.is_set():
@@ -359,9 +388,7 @@ def pipeline_run(
         vstats = ValidationStats()
         try:
             while True:
-                if deadline is not None and time.perf_counter() > deadline:
-                    timed_out.set()
-                    stop.set()
+                cancelled()
                 try:
                     item = buffer.get(timeout=0.05)
                 except queue.Empty:
@@ -380,7 +407,7 @@ def pipeline_run(
                     backend,
                     d_perm,
                     vstats,
-                    should_stop=stop.is_set if cfg.mode == "first" else None,
+                    should_stop=cancelled,
                 )
                 with lock:
                     stats.t_validate += time.perf_counter() - t0

@@ -1,22 +1,37 @@
-"""Batch candidate validation: residuals, fold hashing, hash-join matching.
+"""Batch candidate validation: linear residual hashes and a bitmap join.
 
 A batch pairs every left candidate (weight alpha) with every right
 candidate (weight beta).  Rather than comparing the quadratic product,
-each side is reduced to one m-vector per pair: the left residual is the
-summed contribution vector, the right residual is the right-hand side
-minus the summed contribution.  A left/right pair solves the full system
-exactly when their residuals are equal, so both sides are fold-hashed to
-single 64-bit values, the left hash set is sorted, and each right hash
-is binary-searched.  Hash equality is never trusted: every hit is
-confirmed by exact vector equality and a full re-verification of the
-assembled solution, so the hash function affects speed only.
+each pair stands for one m-vector residual: the left residual is the
+summed contribution vector of its A and B entries, the right residual
+is the right-hand side d minus the summed contribution of its C and D
+entries.  A left/right pair solves the full system exactly when their
+residuals are equal.
 
-Two interchangeable backends implement the same semantics: "serial" is
-a pure-Python reference (the conformance oracle), "parallel" vectorizes
-residuals, hashing, sorting, and searching with numpy.  Oversized
-batches are cut into chunk pairs and matched quadratically per chunk to
-respect a memory budget; chunking never changes the result set because
-the pair product is partitioned disjointly.
+Residuals are hashed with the linear hash h(v) = sum_j r_j v_j mod 2^64
+(`encode_vector`).  Linearity means the residual vectors are never
+built: every table entry carries its hash, a left pair hashes to
+HA[a] + HB[b] and a right pair to h(d) - HC[c] - HD[d'], two 1-D
+gathers per side.  A right pair that overshoots d in some coordinate
+wraps below zero; it simply hashes as that wrapped vector, which no
+left residual can equal, so no filtering pass is needed.
+
+`join_hashes` finds the equal-hash pairs.  It marks the low `bits` of
+the smaller side's hashes in a byte bitmap, keeps the larger side's
+hashes that land on a mark, marks those survivors and filters the
+smaller side against them, and sorts only what survives both filters to
+find exact 64-bit hits.  `bits` comes from the batch: bit_length of the
+smaller side plus 3, clamped to [10, 24], so the bitmap holds at least
+eight slots per marked hash and never exceeds 16 MiB.  Hash equality is
+never trusted: every hit is confirmed by exact residual comparison and
+a full re-verification of the assembled solution, so the hash affects
+speed only.
+
+Backend "parallel" is the production path; "serial" is the pure-Python
+reference, which hashes built residuals and joins by sort and bisection.
+Oversized batches are cut into chunk pairs to respect a memory budget;
+chunking never changes the result set because the pair product is
+partitioned disjointly.
 """
 
 from __future__ import annotations
@@ -27,37 +42,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fastval
-from .enumerate1d import CandidateBatch, QuarterTable, assemble_solution, permuted_rhs
-from .instances import MASK64, MspInstance, SolutionVector, verify_solution
-
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
+from .enumerate1d import (
+    CandidateBatch,
+    QuarterTable,
+    assemble_solution,
+    encode_batch,
+    encode_vector,
+    permuted_rhs,
+)
+from .instances import MspInstance, SolutionVector, verify_solution
 
 DEFAULT_MEMORY_BUDGET = 512 * 2**20
-
-
-def hash_two(h: int, v: int) -> int:
-    """One fold step: XOR then 64-bit wrapping multiply (FNV-1a style)."""
-    return ((h ^ v) * FNV_PRIME) & MASK64
-
-
-def encode_vector(vec: Sequence[int]) -> int:
-    """Fold a vector's coordinates, in index order, into one 64-bit hash."""
-    h = FNV_OFFSET
-    for coord in vec:
-        h = hash_two(h, int(coord))
-    return h
-
-
-def encode_batch(vectors: np.ndarray) -> np.ndarray:
-    """Vectorized `encode_vector` over the rows of an (N, m) uint64 array."""
-    n, m = vectors.shape
-    h = np.full(n, FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(FNV_PRIME)
-    for j in range(m):
-        h = (h ^ vectors[:, j]) * prime
-    return h
 
 
 @dataclass
@@ -66,7 +61,6 @@ class ValidationStats:
 
     candidates_left: int = 0
     candidates_right: int = 0
-    filtered_residuals: int = 0
     hash_hits: int = 0
     exact_hits: int = 0
 
@@ -108,35 +102,18 @@ def sort_encoded(enc: EncodedSet) -> EncodedSet:
     return EncodedSet(hashes=enc.hashes[order], order=order)
 
 
-def _left_residuals(
-    pairs: np.ndarray, tables: Sequence[QuarterTable], alpha: int
-) -> ResidualSet:
-    ta, tb = tables[0], tables[1]
-    vectors = ta.contribs[pairs[:, 0]] + tb.contribs[pairs[:, 1]]
-    if len(vectors) and not (vectors[:, 0] == np.uint64(alpha)).all():
-        raise AssertionError("left residual coordinate 0 disagrees with alpha")
-    return ResidualSet(side="left", vectors=vectors, pairs=pairs)
+def _left_vectors(pairs: np.ndarray, tables: Sequence[QuarterTable]) -> np.ndarray:
+    return tables[0].contribs[pairs[:, 0]] + tables[1].contribs[pairs[:, 1]]
 
 
-def _right_residuals(
-    pairs: np.ndarray,
-    tables: Sequence[QuarterTable],
-    d: np.ndarray,
-    alpha: int,
-) -> ResidualSet:
-    tc, td = tables[2], tables[3]
-    raw = tc.contribs[pairs[:, 0]] + td.contribs[pairs[:, 1]]
-    keep = (raw <= d).all(axis=1)
-    vectors = d - raw[keep]
-    kept_pairs = pairs[keep]
-    if len(vectors) and not (vectors[:, 0] == np.uint64(alpha)).all():
-        raise AssertionError("right residual coordinate 0 disagrees with alpha")
-    return ResidualSet(
-        side="right",
-        vectors=vectors,
-        pairs=kept_pairs,
-        n_filtered=int(len(pairs) - len(kept_pairs)),
-    )
+def _right_sums(pairs: np.ndarray, tables: Sequence[QuarterTable]) -> np.ndarray:
+    return tables[2].contribs[pairs[:, 0]] + tables[3].contribs[pairs[:, 1]]
+
+
+def _assert_alpha(coord0: np.ndarray, alpha: int, side: str) -> None:
+    """Coordinate 0 of every residual on `side` must equal alpha."""
+    if not (coord0 == alpha).all():
+        raise AssertionError(f"{side} residual coordinate 0 disagrees with alpha")
 
 
 def compute_residuals(
@@ -145,16 +122,111 @@ def compute_residuals(
     """Left and right residual sets for a batch against right-hand side d.
 
     d must be ordered like the tables' contribution coordinates (see
-    `permuted_rhs`), with d[0] the enumeration target.
+    `permuted_rhs`), with d[0] the enumeration target.  Right pairs that
+    overshoot d are dropped.  The production path never builds these
+    vectors; they serve the reference `match_batch`.
     """
     d = np.asarray(d, dtype=np.uint64)
-    left = _left_residuals(batch.left_pairs, tables, batch.alpha)
-    right = _right_residuals(batch.right_pairs, tables, d, batch.alpha)
-    return left, right
+    left = _left_vectors(batch.left_pairs, tables)
+    raw = _right_sums(batch.right_pairs, tables)
+    keep = (raw <= d).all(axis=1)
+    right = d - raw[keep]
+    _assert_alpha(left[:, 0], batch.alpha, "left")
+    _assert_alpha(right[:, 0], batch.alpha, "right")
+    return (
+        ResidualSet(side="left", vectors=left, pairs=batch.left_pairs),
+        ResidualSet(
+            side="right",
+            vectors=right,
+            pairs=batch.right_pairs[keep],
+            n_filtered=int(len(keep) - keep.sum()),
+        ),
+    )
 
 
-class SerialBackend:
-    """Pure-Python reference implementation; the conformance oracle."""
+def join_hashes(
+    left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with left[i] == right[j], ordered by j, then i.
+
+    Bitmap-prefiltered: see the module docstring.  Both inputs are
+    uint64 arrays; the outputs are aligned int64 index arrays.
+    """
+    small, big = (left, right) if len(left) <= len(right) else (right, left)
+    bits = min(max(len(small).bit_length() + 3, 10), 24)  # <= 16 MiB
+    mask = np.uint64((1 << bits) - 1)
+    # Masked values are below 2^24, so the int64 view is exact.
+    small_slots = (small & mask).view(np.int64)
+    big_slots = (big & mask).view(np.int64)
+    bitmap = np.zeros(1 << bits, dtype=np.bool_)
+    bitmap[small_slots] = True
+    big_idx = np.flatnonzero(bitmap[big_slots])
+    if not len(big_idx):  # the common case for small batches
+        return big_idx, big_idx
+    bitmap[small_slots] = False
+    bitmap[big_slots[big_idx]] = True
+    # Not empty: every surviving slot was marked by the smaller side.
+    small_idx = np.flatnonzero(bitmap[small_slots])
+    if small is left:
+        left_idx, right_idx = small_idx, big_idx
+    else:
+        left_idx, right_idx = big_idx, small_idx
+
+    # Hash values present on both sides.  Sorting the queries as well
+    # keeps the binary search cache-friendly.
+    left_h, right_h = left[left_idx], right[right_idx]
+    sorted_left = np.sort(left_h)
+    sorted_right = np.sort(right_h)
+    pos = np.searchsorted(sorted_left, sorted_right)
+    np.minimum(pos, len(sorted_left) - 1, out=pos)
+    common = np.unique(sorted_right[sorted_left[pos] == sorted_right])
+    left_idx = left_idx[np.isin(left_h, common)]
+    right_idx = right_idx[np.isin(right_h, common)]
+
+    # Pair them up in (right, left) order.
+    left_h = left[left_idx]
+    order = np.argsort(left_h, kind="stable")
+    sorted_h = left_h[order]
+    right_h = right[right_idx]
+    lo = np.searchsorted(sorted_h, right_h, side="left")
+    counts = np.searchsorted(sorted_h, right_h, side="right") - lo
+    total = int(counts.sum())
+    # Hit t of right survivor k sits at sorted position lo[k] + t.
+    first = np.cumsum(counts) - counts
+    pos = np.repeat(lo - first, counts) + np.arange(total)
+    return left_idx[order[pos]], np.repeat(right_idx, counts)
+
+
+class _Backend:
+    """What both backends share, given their `encode` and `join`:
+    hashing of built residuals and `find_matches` over residual sets."""
+
+    def left_hashes(self, tables, pairs: np.ndarray) -> np.ndarray:
+        return self.encode(_left_vectors(pairs, tables)).hashes
+
+    def right_hashes(self, tables, pairs: np.ndarray, d: np.ndarray) -> np.ndarray:
+        # uint64 wrap-around is intended: h(v mod 2^64) == h(v) mod 2^64
+        return self.encode(d - _right_sums(pairs, tables)).hashes
+
+    def find_matches(
+        self, left: ResidualSet, right: ResidualSet
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Left and right indices of exactly equal residuals, ordered by
+        right then left index, and the number of hash hits examined."""
+        left_idx, right_idx = self.join(
+            self.encode(left.vectors).hashes, self.encode(right.vectors).hashes
+        )
+        exact = (left.vectors[left_idx] == right.vectors[right_idx]).all(axis=1)
+        return left_idx[exact], right_idx[exact], len(left_idx)
+
+
+class SerialBackend(_Backend):
+    """Pure-Python reference implementation; the conformance oracle.
+
+    It hashes residual vectors built from the tables one by one, never
+    the tables' precomputed hash columns, and joins by sort and
+    bisection.
+    """
 
     name = "serial"
 
@@ -168,75 +240,63 @@ class SerialBackend:
         )
         return EncodedSet(hashes=hashes)
 
-    def find_matches(
-        self, left: ResidualSet, right: ResidualSet
-    ) -> tuple[list[tuple[int, int]], int]:
-        left_hashes = [int(h) for h in self.encode(left.vectors).hashes]
-        right_hashes = [int(h) for h in self.encode(right.vectors).hashes]
+    def join(
+        self, left: np.ndarray, right: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        left_h = left.tolist()
         # independent of numpy sorting on purpose: this is the reference
-        order = sorted(range(len(left_hashes)), key=lambda t: (left_hashes[t], t))
-        sorted_left = EncodedSet(
-            hashes=np.array([left_hashes[t] for t in order], dtype=np.uint64),
-            order=np.array(order, dtype=np.int64),
-        )
-        sorted_hashes = [int(h) for h in sorted_left.hashes]
-        left_rows = left.vectors.tolist()
-        right_rows = right.vectors.tolist()
-        matches: list[tuple[int, int]] = []
-        hash_hits = 0
-        for r, hr in enumerate(right_hashes):
-            pos = bisect_left(sorted_hashes, hr)
-            while pos < len(sorted_hashes) and sorted_hashes[pos] == hr:
-                hash_hits += 1
-                lq = order[pos]
-                if left_rows[lq] == right_rows[r]:
-                    matches.append((lq, r))
+        order = sorted(range(len(left_h)), key=lambda t: (left_h[t], t))
+        keys = [left_h[t] for t in order]
+        left_idx: list[int] = []
+        right_idx: list[int] = []
+        for r, h in enumerate(right.tolist()):
+            pos = bisect_left(keys, h)
+            while pos < len(keys) and keys[pos] == h:
+                left_idx.append(order[pos])
+                right_idx.append(r)
                 pos += 1
-        return matches, hash_hits
+        return (
+            np.array(left_idx, dtype=np.int64),
+            np.array(right_idx, dtype=np.int64),
+        )
 
 
-class ParallelBackend:
-    """Data-parallel CPU implementation (numpy-vectorized).
+class ParallelBackend(_Backend):
+    """Production implementation: numpy-vectorized hashing and join.
 
-    When the compiled kernels are importable and no encode override is
-    installed, chunk validation takes a fused path that hashes residuals
-    without materializing them; results are bit-identical either way.
+    Pair hashes come from the tables' precomputed hash columns.  An
+    `encode_fn` override (tests use constant hashes to force
+    collisions) hashes built residual vectors instead; the join and the
+    exact confirmation are the same either way.
     """
 
     name = "parallel"
 
-    def __init__(
-        self,
-        encode_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        fused: bool | None = None,
-    ):
-        self._encode_many = encode_fn or encode_batch
-        if fused is None:
-            fused = fastval.available() and encode_fn is None
-        self.fused = fused and encode_fn is None
+    def __init__(self, encode_fn: Callable[[np.ndarray], np.ndarray] | None = None):
+        self._encode_many = encode_fn
+        # h(d) is computed once per right-hand side, not once per call.
+        self._rhs_key = b""
+        self._rhs_hash = np.uint64(0)
 
     def encode(self, vectors: np.ndarray) -> EncodedSet:
-        return EncodedSet(hashes=self._encode_many(vectors))
+        return EncodedSet(hashes=(self._encode_many or encode_batch)(vectors))
 
-    def find_matches(
-        self, left: ResidualSet, right: ResidualSet
-    ) -> tuple[list[tuple[int, int]], int]:
-        sorted_left = sort_encoded(self.encode(left.vectors))
-        right_hashes = self.encode(right.vectors).hashes
-        order = sorted_left.order
-        sorted_hashes = sorted_left.hashes
-        lo = np.searchsorted(sorted_hashes, right_hashes, side="left")
-        hi = np.searchsorted(sorted_hashes, right_hashes, side="right")
-        matches: list[tuple[int, int]] = []
-        hash_hits = 0
-        for r in np.flatnonzero(hi > lo):
-            r = int(r)
-            for pos in range(int(lo[r]), int(hi[r])):
-                hash_hits += 1
-                lq = int(order[pos])
-                if np.array_equal(left.vectors[lq], right.vectors[r]):
-                    matches.append((lq, r))
-        return matches, hash_hits
+    def left_hashes(self, tables, pairs: np.ndarray) -> np.ndarray:
+        if self._encode_many is not None:
+            return super().left_hashes(tables, pairs)
+        return tables[0].hashes[pairs[:, 0]] + tables[1].hashes[pairs[:, 1]]
+
+    def right_hashes(self, tables, pairs: np.ndarray, d: np.ndarray) -> np.ndarray:
+        if self._encode_many is not None:
+            return super().right_hashes(tables, pairs, d)
+        key = d.tobytes()
+        if key != self._rhs_key:
+            self._rhs_key, self._rhs_hash = key, np.uint64(encode_vector(d.tolist()))
+        return (
+            self._rhs_hash - tables[2].hashes[pairs[:, 0]]
+        ) - tables[3].hashes[pairs[:, 1]]
+
+    join = staticmethod(join_hashes)
 
 
 _BACKENDS = {"serial": SerialBackend, "parallel": ParallelBackend}
@@ -251,6 +311,38 @@ def get_backend(name: str):
         ) from None
 
 
+def _verified_solutions(
+    inst: MspInstance, tables: Sequence[QuarterTable], quads: np.ndarray
+) -> list[SolutionVector]:
+    """Assemble each (a, b, c, d) index row and re-verify it on `inst`."""
+    solutions: list[SolutionVector] = []
+    for a_idx, b_idx, c_idx, d_idx in quads.tolist():
+        x = assemble_solution(tables, a_idx, b_idx, c_idx, d_idx)
+        if not verify_solution(inst, x):
+            raise RuntimeError(
+                "internal error: residual match failed full verification"
+            )
+        solutions.append(x)
+    return solutions
+
+
+def _confirm_exact(
+    ab: np.ndarray,
+    cd: np.ndarray,
+    tables: Sequence[QuarterTable],
+    inst: MspInstance,
+    d: np.ndarray,
+) -> list[SolutionVector]:
+    """Solutions among hash hits (A, B index rows `ab` aligned with C, D
+    rows `cd`) whose left residual equals d minus the right sum.
+
+    The sum of all four contributions is at most the row sum, so
+    comparing it with d cannot wrap.
+    """
+    exact = (_left_vectors(ab, tables) + _right_sums(cd, tables) == d).all(axis=1)
+    return _verified_solutions(inst, tables, np.hstack([ab[exact], cd[exact]]))
+
+
 def match_batch(
     left: ResidualSet,
     right: ResidualSet,
@@ -259,54 +351,16 @@ def match_batch(
     backend=None,
     stats: ValidationStats | None = None,
 ) -> list[SolutionVector]:
-    """Solutions among left x right, via sorted-hash join plus exact confirm.
+    """Solutions among left x right residual sets, via hash join plus
+    exact confirm.
 
-    Results are ordered by (right index, sorted-left position), which both
+    Results are ordered by (right index, left index), which both
     backends produce identically.
     """
     backend = backend or ParallelBackend()
-    matches, hash_hits = backend.find_matches(left, right)
-    solutions: list[SolutionVector] = []
-    for lq, r in matches:
-        a_idx, b_idx = left.pairs[lq]
-        c_idx, d_idx = right.pairs[r]
-        x = assemble_solution(tables, a_idx, b_idx, c_idx, d_idx)
-        if not verify_solution(inst, x):
-            raise RuntimeError(
-                "internal error: residual match failed full verification"
-            )
-        solutions.append(x)
-    if stats is not None:
-        stats.hash_hits += hash_hits
-        stats.exact_hits += len(solutions)
-    return solutions
-
-
-def _confirm_hits(
-    hits: np.ndarray,
-    hash_hits: int,
-    left_pairs: np.ndarray,
-    right_pairs: np.ndarray,
-    inst: MspInstance,
-    tables: Sequence[QuarterTable],
-    d: np.ndarray,
-    stats: ValidationStats | None,
-) -> list[SolutionVector]:
-    """Exact-confirm full-hash hits by recomputing both residual vectors."""
-    ta, tb, tc, td = tables
-    solutions: list[SolutionVector] = []
-    for lq, r in hits:
-        a_idx, b_idx = left_pairs[lq]
-        c_idx, d_idx = right_pairs[r]
-        left_vec = ta.contribs[a_idx] + tb.contribs[b_idx]
-        right_vec = d - (tc.contribs[c_idx] + td.contribs[d_idx])
-        if np.array_equal(left_vec, right_vec):
-            x = assemble_solution(tables, a_idx, b_idx, c_idx, d_idx)
-            if not verify_solution(inst, x):
-                raise RuntimeError(
-                    "internal error: residual match failed full verification"
-                )
-            solutions.append(x)
+    left_idx, right_idx, hash_hits = backend.find_matches(left, right)
+    quads = np.hstack([left.pairs[left_idx], right.pairs[right_idx]])
+    solutions = _verified_solutions(inst, tables, quads)
     if stats is not None:
         stats.hash_hits += hash_hits
         stats.exact_hits += len(solutions)
@@ -327,8 +381,8 @@ def validate_chunked(
 
     The union over chunk pairs equals one unchunked match; partitioning
     the pair product disjointly makes duplicates impossible.  When
-    `should_stop` fires the remaining chunk pairs are abandoned (used for
-    first-solution cancellation; never in exhaustive mode).
+    `should_stop` fires the remaining chunk pairs are abandoned, and the
+    caller must treat the batch as unfinished.
     """
     if chunk_pairs < 1:
         raise ValueError(f"chunk_pairs must be >= 1, got {chunk_pairs}")
@@ -336,45 +390,36 @@ def validate_chunked(
     if d is None:
         d = permuted_rhs(inst, tables)
     d = np.ascontiguousarray(d, dtype=np.uint64)
-    fused = getattr(backend, "fused", False)
     ta, tb, tc, td = tables
 
-    n_left, n_right = batch.n_left, batch.n_right
     solutions: list[SolutionVector] = []
     first_sweep = True
-    for ls in range(0, max(n_left, 1), chunk_pairs):
+    for ls in range(0, max(batch.n_left, 1), chunk_pairs):
         left_chunk = batch.left_pairs[ls : ls + chunk_pairs]
-        if not fused:
-            left_rs = _left_residuals(left_chunk, tables, batch.alpha)
+        a_idx, b_idx = left_chunk[:, 0], left_chunk[:, 1]
+        _assert_alpha(ta.weights[a_idx] + tb.weights[b_idx], batch.alpha, "left")
+        left_h = backend.left_hashes(tables, left_chunk)
         if stats is not None:
             stats.candidates_left += len(left_chunk)
-        for rs_start in range(0, max(n_right, 1), chunk_pairs):
+        for rs in range(0, max(batch.n_right, 1), chunk_pairs):
             if should_stop is not None and should_stop():
                 return solutions
-            right_chunk = batch.right_pairs[rs_start : rs_start + chunk_pairs]
-            if fused:
-                hits, hash_hits, filtered = fastval.join_pairs(
-                    ta.contribs, tb.contribs, left_chunk,
-                    tc.contribs, td.contribs, right_chunk,
-                    d, batch.alpha,
+            right_chunk = batch.right_pairs[rs : rs + chunk_pairs]
+            if first_sweep:
+                c_idx, d_idx = right_chunk[:, 0], right_chunk[:, 1]
+                _assert_alpha(
+                    d[0] - (tc.weights[c_idx] + td.weights[d_idx]), batch.alpha, "right"
                 )
-                if stats is not None and first_sweep:
+                if stats is not None:
                     stats.candidates_right += len(right_chunk)
-                    stats.filtered_residuals += filtered
-                solutions.extend(
-                    _confirm_hits(
-                        hits, hash_hits, left_chunk, right_chunk,
-                        inst, tables, d, stats,
-                    )
-                )
-            else:
-                right_rs = _right_residuals(right_chunk, tables, d, batch.alpha)
-                if stats is not None and first_sweep:
-                    stats.candidates_right += len(right_chunk)
-                    stats.filtered_residuals += right_rs.n_filtered
-                solutions.extend(
-                    match_batch(left_rs, right_rs, inst, tables, backend, stats)
-                )
+            li, ri = backend.join(left_h, backend.right_hashes(tables, right_chunk, d))
+            if not len(li):
+                continue
+            found = _confirm_exact(left_chunk[li], right_chunk[ri], tables, inst, d)
+            if stats is not None:
+                stats.hash_hits += len(li)
+                stats.exact_hits += len(found)
+            solutions.extend(found)
         first_sweep = False
     return solutions
 

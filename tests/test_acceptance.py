@@ -10,6 +10,7 @@ CI (see README).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
 
@@ -169,7 +170,10 @@ def test_criterion_4_hash_determinism():
     reference = runs[0].tobytes()
     for h in runs[1:]:
         assert h.tobytes() == reference
-    _report(4, "hash determinism", "1000-vector corpus, serial == parallel, byte-identical")
+    # pinned across runs, platforms and releases (little-endian bytes)
+    digest = hashlib.sha256(runs[0].astype("<u8").tobytes()).hexdigest()
+    assert digest == "16986d86888070dc3cbafa405b409fe11ad9636a37962d52d712a2ab780e9d69"
+    _report(4, "hash determinism", "1000-vector corpus, serial == parallel, byte-identical, pinned digest")
 
 
 # Generated stand-ins for the canonical benchmark files: seeds screened so

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from marketsplit.instances import (
     MspInstance,
@@ -69,6 +72,14 @@ class TestParse:
         inst = parse_instance(f"1 1\n{big - 1} 0\n")
         assert int(inst.a[0, 0]) == big - 1
 
+    @pytest.mark.parametrize("tok", ["1_0", "+3", "\u0663"])
+    def test_only_ascii_digits(self, tok):
+        # int() accepts all three (as 10, 3 and 3); the format does not
+        with pytest.raises(ParseError, match=re.escape(f"non-integer token '{tok}'")):
+            parse_instance(f"1 2\n1 {tok} 3\n")
+        with pytest.raises(ParseError, match="malformed header"):
+            parse_instance(f"1 {tok}\n" + "1 " * 10 + "1\n")
+
     def test_negative_value(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_instance("1 1\n-3 0\n")
@@ -110,6 +121,35 @@ class TestWrite:
 
     @given(small_instances(max_m=4, max_n=10, max_coeff=50))
     def test_round_trip_identity(self, inst):
+        assert parse_instance(write_instance(inst)) == inst
+
+    @given(
+        st.integers(1, 4).flatmap(lambda m: st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 2**60 - 1), min_size=n + 1, max_size=n + 1),
+                min_size=m, max_size=m,
+            )
+        ))
+    )
+    def test_write_parse_round_trip_wide_values(self, rows):
+        inst = MspInstance([r[:-1] for r in rows], [r[-1] for r in rows])
+        text = write_instance(inst)
+        assert parse_instance(text) == inst
+        assert write_instance(parse_instance(text)) == text
+
+    @given(st.text(alphabet="0123456789 \n#+-_x\u0663\uff11", max_size=40))
+    def test_fuzzed_text_parses_strictly_or_raises(self, text):
+        try:
+            inst = parse_instance(text)
+        except ParseError:
+            return
+        tokens = [
+            tok
+            for line in text.splitlines()
+            if not line.strip().startswith("#")
+            for tok in line.split()
+        ]
+        assert all(tok.isascii() and tok.isdigit() for tok in tokens)
         assert parse_instance(write_instance(inst)) == inst
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketsplit.instances import MspInstance, verify_solution
+from marketsplit.enumerate1d import PairSumEnumerator, build_quarter_tables
+from marketsplit.instances import MspInstance, SplitMix64, verify_solution
 from marketsplit.oracle import brute_force_all
 from marketsplit.solver import (
     BRUTE_FORCE_MAX_N,
@@ -210,6 +213,25 @@ class TestTimeout:
                 time_limit=1e-9,
             )
 
+    @staticmethod
+    def _one_big_batch():
+        # a zero first row puts all 2^16 x 2^16 pairs into one batch;
+        # validating it in chunks of 64 takes far longer than the limit
+        rng = SplitMix64(77)
+        row = [rng.below(100) for _ in range(32)]
+        return MspInstance([[0] * 32, row], [0, sum(row) // 2])
+
+    @pytest.mark.parametrize("depth, workers", [(1, 1), (2, 1)])
+    def test_deadline_fires_inside_one_batch(self, depth, workers):
+        inst = self._one_big_batch()
+        cfg = SolverConfig(
+            mode="all", chunk_pairs=64, pipeline_depth=depth, worker_count=workers
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(SolveTimeout):
+            solve(inst, cfg, time_limit=0.5)
+        assert time.perf_counter() - t0 < 5.0
+
     def test_no_timeout_when_fast(self):
         inst = MspInstance([[1, 2, 3], [2, 1, 3]], [3, 3])
         result = solve(inst, SolverConfig(mode="all"), time_limit=60.0)
@@ -228,6 +250,19 @@ class TestStats:
         assert s.exact_hits == len(result.solutions)
         assert s.t_total > 0
         assert s.engine in ("python", "jit")
+
+    def test_max_batch_pairs(self):
+        inst = seeded_instance(8, m=2, n=16, k=9)
+        tables = build_quarter_tables(inst)
+        enum = PairSumEnumerator(tables, int(inst.d[0]))
+        expected = 0
+        while (batch := enum.next_batch()) is not None:
+            expected = max(expected, batch.n_left + batch.n_right)
+        for depth, workers in ((1, 1), (4, 2)):
+            cfg = SolverConfig(mode="all", pipeline_depth=depth, worker_count=workers)
+            stats = solve(inst, cfg).stats.as_dict()
+            assert stats["max_batch_pairs"] == expected > 1
+            assert "filtered_residuals" not in stats
 
     def test_hash_hits_at_least_exact_hits(self):
         inst = seeded_instance(9, m=1, n=15, k=5)

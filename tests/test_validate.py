@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketsplit.enumerate1d import (
+    HASH_SEED,
     CandidateBatch,
     PairSumEnumerator,
     build_quarter_tables,
+    hash_multipliers,
     permuted_rhs,
 )
-from marketsplit.instances import MspInstance
+from marketsplit.instances import MspInstance, SplitMix64
 from marketsplit.oracle import brute_force_all
 from marketsplit.validate import (
-    FNV_OFFSET,
-    FNV_PRIME,
     ParallelBackend,
     ResidualSet,
     SerialBackend,
@@ -26,7 +26,7 @@ from marketsplit.validate import (
     encode_batch,
     encode_vector,
     get_backend,
-    hash_two,
+    join_hashes,
     match_batch,
     validate_chunked,
 )
@@ -34,40 +34,47 @@ from marketsplit.validate import (
 from conftest import drain_all_batches, seeded_instance
 
 
-def reference_fold(values):
-    """Independent big-integer transcription of the hash fold."""
-    h = 0xCBF29CE484222325
-    for v in values:
-        h = ((h ^ int(v)) * 0x100000001B3) % 2**64
-    return h
+def reference_hash(values):
+    """Independent big-integer transcription of the linear hash."""
+    rng = SplitMix64(HASH_SEED)
+    return sum((rng.next_u64() | 1) * int(v) for v in values) % 2**64
 
 
-ALL_BACKENDS = [
-    SerialBackend(),
-    ParallelBackend(fused=False),
-    ParallelBackend(fused=True),
-]
+ALL_BACKENDS = [SerialBackend(), ParallelBackend()]
+
+u64 = st.integers(0, 2**64 - 1)
 
 
 class TestHash:
-    def test_xor_zero_is_multiply(self):
-        for h in (0, 1, 12345, 2**64 - 1):
-            assert hash_two(h, 0) == (h * FNV_PRIME) % 2**64
+    @given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+        st.lists(u64, min_size=m, max_size=m),
+        st.lists(u64, min_size=m, max_size=m),
+    )))
+    @settings(max_examples=200)
+    def test_linearity(self, uv):
+        u, v = uv
+        total = [(a + b) % 2**64 for a, b in zip(u, v)]
+        assert encode_vector(total) == (encode_vector(u) + encode_vector(v)) % 2**64
+        assert encode_vector([0] * len(u)) == 0
 
-    def test_zero_seed(self):
-        for v in (0, 7, 2**63):
-            assert hash_two(0, v) == (v * FNV_PRIME) % 2**64
+    def test_multipliers_odd_and_fixed(self):
+        # pinned: a change here changes every hash the solver computes
+        assert hash_multipliers(2) == (0x1FADB42F09EA8ED3, 0x64C5F294DF9AEC8D)
+        assert hash_multipliers(6)[:2] == hash_multipliers(2)
+        assert all(r % 2 == 1 for r in hash_multipliers(16))
 
     def test_small_table_matches_reference(self):
-        for h in range(3):
+        for u in range(3):
             for v in range(3):
-                assert hash_two(h, v) == ((h ^ v) * 0x100000001B3) % 2**64
+                assert encode_vector([u, v]) == reference_hash([u, v])
 
     def test_encode_single_coordinate(self):
-        assert encode_vector([0]) == (FNV_OFFSET * FNV_PRIME) % 2**64
+        (r0,) = hash_multipliers(1)
+        for v in (0, 1, 7, 2**63):
+            assert encode_vector([v]) == (r0 * v) % 2**64
 
     def test_encode_reference_value(self):
-        assert encode_vector([1, 2, 3]) == reference_fold([1, 2, 3])
+        assert encode_vector([1, 2, 3]) == reference_hash([1, 2, 3])
 
     def test_encode_deterministic(self):
         assert encode_vector([9, 8, 7]) == encode_vector([9, 8, 7])
@@ -78,7 +85,7 @@ class TestHash:
     @settings(max_examples=200)
     def test_vectorized_twin_is_bit_exact(self, coords):
         arr = np.array([coords], dtype=np.uint64)
-        assert int(encode_batch(arr)[0]) == reference_fold(coords)
+        assert int(encode_batch(arr)[0]) == reference_hash(coords)
 
     def test_batch_encoding_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -86,6 +93,78 @@ class TestHash:
         batch = encode_batch(vecs)
         for row, h in zip(vecs.tolist(), batch.tolist()):
             assert encode_vector(row) == h
+
+    def test_table_columns_are_entry_hashes(self):
+        inst = seeded_instance(12, m=4, n=14, k=50)
+        for table in build_quarter_tables(inst):
+            assert np.array_equal(table.hashes, encode_batch(table.contribs))
+
+    def test_pair_hashes_equal_hashes_of_built_residuals(self):
+        # every (a, b) and (c, d) pair of a small instance; d is low
+        # enough that many right pairs overshoot it and wrap negative
+        inst = seeded_instance(13, m=3, n=12, k=40, d_mode="random")
+        tables = build_quarter_tables(inst)
+        d = permuted_rhs(inst, tables) // 3
+        ta, tb, tc, td = tables
+        left = np.array(
+            [(a, b) for a in range(ta.size) for b in range(tb.size)], dtype=np.int64
+        )
+        right = np.array(
+            [(c, e) for c in range(tc.size) for e in range(td.size)], dtype=np.int64
+        )
+        left_vec = ta.contribs[left[:, 0]] + tb.contribs[left[:, 1]]
+        raw = tc.contribs[right[:, 0]] + td.contribs[right[:, 1]]
+        assert (raw > d).any(axis=1).sum() > len(right) // 2
+        right_vec = d - raw  # wraps for the overshooting pairs
+        production, reference = ParallelBackend(), SerialBackend()
+        for backend in (production, reference):
+            got_left = backend.left_hashes(tables, left)
+            got_right = backend.right_hashes(tables, right, d)
+            assert got_left.tobytes() == encode_batch(left_vec).tobytes()
+            assert got_right.tobytes() == encode_batch(right_vec).tobytes()
+        for row, h in zip(right_vec[:50].tolist(), got_right[:50].tolist()):
+            signed = [int(v) - 2**64 if v >= 2**63 else int(v) for v in row]
+            assert reference_hash(signed) == h
+
+
+def brute_force_join(left, right):
+    return [(i, j) for j in range(len(right)) for i in range(len(left)) if left[i] == right[j]]
+
+
+class TestJoinKernel:
+    @given(
+        st.lists(st.integers(0, 6), max_size=40),
+        st.lists(st.integers(0, 6), max_size=40),
+        st.sampled_from([1, 1 << 24, 1 << 40, (1 << 64) - 7]),
+    )
+    @settings(max_examples=300)
+    def test_matches_brute_force_in_right_then_left_order(self, left, right, high):
+        # few distinct values, so equal hashes are common; with a large
+        # `high`, distinct values share their low (bitmap) bits and only
+        # the exact 64-bit step can tell them apart
+        def spread(vals):
+            return [((v & 1) + (v >> 1) * high) % 2**64 for v in vals]
+
+        lv, rv = spread(left), spread(right)
+        li, ri = join_hashes(np.array(lv, dtype=np.uint64), np.array(rv, dtype=np.uint64))
+        assert list(zip(li.tolist(), ri.tolist())) == brute_force_join(lv, rv)
+        assert li.dtype == ri.dtype == np.int64
+
+    def test_large_skewed_sides(self):
+        rng = np.random.default_rng(5)
+        left = rng.integers(0, 2**64, size=50_000, dtype=np.uint64)
+        right = rng.integers(0, 2**64, size=300, dtype=np.uint64)
+        right[::7] = left[rng.integers(0, len(left), size=len(right[::7]))]
+        for lh, rh, label in ((left, right, "big left"), (right, left, "big right")):
+            li, ri = join_hashes(lh, rh)
+            pairs = {(int(a), int(b)) for a, b in zip(li, ri)}
+            expected = {
+                (i, j)
+                for j, h in enumerate(rh.tolist())
+                for i in np.flatnonzero(lh == h).tolist()
+            }
+            assert pairs == expected and len(pairs) == len(li)
+            assert list(ri) == sorted(ri), label
 
 
 class TestResiduals:
@@ -148,6 +227,18 @@ class TestResiduals:
             compute_residuals(batch, tables, d)
 
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
+    def test_alpha_mismatch_caught_in_validation(self, backend):
+        inst, tables, _ = self._simple_setup()
+        pair = np.array([[0, 0]], dtype=np.int64)  # left weight 0, right 3 + 4
+        none = np.empty((0, 2), dtype=np.int64)
+        for left, right, side in ((pair, none, "left"), (none, pair, "right")):
+            batch = CandidateBatch(alpha=99 if side == "left" else 0, beta=5,
+                                   left_pairs=left, right_pairs=right)
+            with pytest.raises(AssertionError, match=side):
+                validate_chunked(batch, tables, inst, 10, backend)
+
+
 class TestMatching:
     def test_disjoint_hashes_no_result(self):
         inst = MspInstance([[1, 2, 3, 4]], [5])
@@ -162,7 +253,7 @@ class TestMatching:
             vectors=np.array([[3], [4]], dtype=np.uint64),
             pairs=np.zeros((2, 2), dtype=np.int64),
         )
-        for backend in (SerialBackend(), ParallelBackend(fused=False)):
+        for backend in ALL_BACKENDS:
             assert match_batch(left, right, inst, tables, backend) == []
 
     def test_full_enumeration_matches_oracle(self):
@@ -205,7 +296,7 @@ class TestMatching:
                 encode_fn=lambda arr: np.full(len(arr), 42, dtype=np.uint64)
             ),
             SerialBackend(),
-            ParallelBackend(fused=False),
+            ParallelBackend(),
         ]
         results = []
         for backend in degenerate:
@@ -217,6 +308,29 @@ class TestMatching:
             results.append(found)
         assert results[0] == results[1] == results[2] == results[3]
         assert set(results[0]) == set(brute_force_all(inst))
+
+    def test_forced_collisions_through_join_kernel(self):
+        # constant hashes make every pair of every chunk a hit in the
+        # production join; exact confirmation alone must recover the
+        # oracle's solutions
+        inst = seeded_instance(33, m=2, n=13, k=7)
+        tables = build_quarter_tables(inst)
+        backend = ParallelBackend(
+            encode_fn=lambda arr: np.full(len(arr), 42, dtype=np.uint64)
+        )
+        for chunk in (10**9, 3):
+            stats = ValidationStats()
+            found = []
+            product = 0
+            enum = PairSumEnumerator(tables, int(inst.d[0]))
+            for batch in drain_all_batches(enum):
+                product += batch.n_left * batch.n_right
+                found.extend(
+                    validate_chunked(batch, tables, inst, chunk, backend, stats=stats)
+                )
+            assert sorted(found) == sorted(brute_force_all(inst))
+            assert stats.hash_hits == product
+            assert stats.exact_hits == len(found)
 
     def test_degenerate_hash_counts_more_hash_hits(self):
         inst = seeded_instance(32, m=1, n=8, k=5)
@@ -242,7 +356,7 @@ class TestMatching:
 
 
 class TestChunking:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: f"{b.name}-fused{getattr(b, 'fused', False)}")
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
     def test_chunk_sizes_agree(self, backend):
         inst = seeded_instance(41, m=2, n=11, k=9)
         tables = build_quarter_tables(inst)
@@ -259,7 +373,7 @@ class TestChunking:
         inst = seeded_instance(42, m=2, n=10, k=9)
         tables = build_quarter_tables(inst)
         d = permuted_rhs(inst, tables)
-        backend = ParallelBackend(fused=False)
+        backend = ParallelBackend()
         enum = PairSumEnumerator(tables, int(inst.d[0]))
         for batch in drain_all_batches(enum):
             left, right = compute_residuals(batch, tables, d)
@@ -284,7 +398,8 @@ class TestChunking:
             validate_chunked(batch, tables, inst, 2, backend, stats=tiny)
             assert one.candidates_left == tiny.candidates_left == batch.n_left
             assert one.candidates_right == tiny.candidates_right == batch.n_right
-            assert one.filtered_residuals == tiny.filtered_residuals
+            assert one.hash_hits == tiny.hash_hits
+            assert one.exact_hits == tiny.exact_hits
 
     def test_chunk_pairs_validated(self):
         inst = seeded_instance(44, m=2, n=10, k=9)
@@ -297,8 +412,7 @@ class TestChunking:
 
 class TestMassiveMultiplicity:
     def test_all_zero_instance_overflows_hit_buffer(self):
-        # every pair collides and matches: 2^13 solutions in one batch,
-        # which forces the fused join to regrow its hit buffer
+        # every pair collides and matches: 2^13 solutions in one batch
         n = 13
         inst = MspInstance([[0] * n], [0])
         result_sets = []
@@ -328,7 +442,7 @@ class TestBackendParity:
                         batch, tables, inst, 10**9, backend, stats=stats
                     )
                     outputs.append((sols, stats))
-                assert outputs[0] == outputs[1] == outputs[2], seed
+                assert outputs[0] == outputs[1], seed
 
     def test_get_backend(self):
         assert get_backend("serial").name == "serial"
