@@ -200,20 +200,19 @@ def cmd_bench(args) -> int:
             seconds = time.perf_counter() - t0
             rec = BenchRecord(path, label, False, seconds, result)
             print(f"{path.name}: {result.verdict} in {seconds:.3f}s")
-        except SolveTimeout:
+            out = _stats_record(str(path), result, seconds)
+        except SolveTimeout as exc:
             seconds = time.perf_counter() - t0
             rec = BenchRecord(path, label, True, seconds, None)
             print(f"{path.name}: time limit of {args.time_limit}s hit")
+            # the partial stats show how far the solve got
+            out = {"instance": str(path), "verdict": "timeout",
+                   "seconds": round(seconds, 6), **exc.stats.as_dict()}
         except (ReductionOverflowError, ValueError) as exc:
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             return 2
         report.records.append(rec)
         if args.stats:
-            if rec.result is not None:
-                out = _stats_record(str(path), rec.result, seconds)
-            else:
-                out = {"instance": str(path), "verdict": "timeout",
-                       "seconds": round(seconds, 6)}
             out["class"] = label
             print(json.dumps(out))
 

@@ -5,30 +5,43 @@ near-equal size.  Each block's full power set is tabulated once, sorted
 by first-row subset sum (ascending for A and B, descending for C and D),
 with the complete per-row contribution vector precomputed for every
 subset, plus that vector's linear 64-bit hash (see `encode_vector`), so
-the validator can hash a pair's residual from two table lookups.  Two
-heaps then stream pair sums without materializing either half power
-set, which is the point of the four-table scheme: space stays at
-4 * 2^(n/4) table entries while the heaps never grow past |B| and |D|.
+the validator can hash a pair's residual from two table lookups.  The
+enumerators then stream, in ascending order of the left weight alpha,
+one candidate batch per alpha that is both a left sum wA + wB and the
+target minus a right sum wC + wD, without materializing either half
+power set: space stays at 4 * 2^(n/4) table entries.
 
-H1 is a min-heap holding one entry per B-subset, keyed by the combined
-first-row weight of (current A position, that B-subset); H2 mirrors it
-as a max-heap over (C position, D-subset).  Advancing the light side on
-undershoot and the heavy side on overshoot visits every combined weight
-pair exactly once.  When the two top keys meet the target, both heaps
-are drained of all equal-key entries, each entry expanding to its full
-equal-weight run, and the collected left/right pair lists form one
-candidate batch for the validator.
+Within a batch, left pairs are listed by B index, then A index; right
+pairs by D index, then C index.  Equal weights form contiguous runs in
+every table, so each side of a batch is a list of (fixed run x inner
+run) blocks -- a B run with an A run, or a D run with a C run -- held as
+`RunBlocks` and expanded to index pairs only a slice at a time.
 
-Entries always sit at the start of an equal-weight run: runs are skipped
-wholesale both when advancing (the partner heap's key is monotone, so a
-key that undershoots keeps undershooting for the rest of its run) and
-when draining, which keeps pop counts proportional to distinct weights
-rather than table size.
+`SumsetEnumerator` is the production engine.  It sweeps alpha in
+windows over the distinct-weight sumsets uA + uB and d_1 - (uC + uD):
+per window, a vectorized `searchsorted` lists the distinct-weight pairs
+whose sums fall in it, and their common values are the window's
+batches.  Windows are cut so neither side holds more than
+4 * 2^(n/4) distinct-weight pairs; a single alpha never needs more than
+min(|uA|, |uB|), so the cut always exists.
+
+`PairSumEnumerator` is the paper's heap formulation and the reference
+the sumset engine is tested against.  H1 is a min-heap holding one
+entry per B-subset, keyed by the combined first-row weight of (current A
+position, that B-subset); H2 mirrors it as a max-heap over (C position,
+D-subset).  Advancing the light side on undershoot and the heavy side on
+overshoot visits every combined weight pair exactly once; when the two
+top keys meet the target, both heaps are drained of all equal-key
+entries, each entry standing for its full equal-weight run.  Entries
+always sit at the start of an equal-weight run, so pop counts are
+proportional to distinct weights rather than table size, and the heaps
+never grow past |B| and |D|.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -198,19 +211,78 @@ def permuted_rhs(inst: MspInstance, tables: Sequence[QuarterTable]) -> np.ndarra
     return inst.d[list(tables[0].row_map)]
 
 
+class RunBlocks:
+    """One side of a batch as (fixed run x inner run) blocks.
+
+    Block b stands for the index pairs (inner_start[b] + s,
+    fixed_start[b] + t) with s < inner_len[b] and t < fixed_len[b],
+    listed t-major; the blocks follow each other in array order.
+    `len()` counts pairs, and `[lo:hi]` expands just that range to a
+    (hi - lo, 2) int64 array, so a consumer working in chunks never holds
+    the whole side.
+    """
+
+    __slots__ = ("inner_start", "inner_len", "fixed_start", "fixed_len", "_ends")
+
+    def __init__(self, inner_start, inner_len, fixed_start, fixed_len):
+        self.inner_start = inner_start
+        self.inner_len = inner_len
+        self.fixed_start = fixed_start
+        self.fixed_len = fixed_len
+        self._ends = np.cumsum(inner_len * fixed_len)
+
+    def __len__(self) -> int:
+        return int(self._ends[-1]) if len(self._ends) else 0
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError("RunBlocks supports [lo:hi] slices only")
+        lo, hi, _ = key.indices(len(self))
+        if hi <= lo:
+            return np.empty((0, 2), dtype=np.int64)
+        ends = self._ends
+        b0 = int(ends.searchsorted(lo, side="right"))
+        b1 = int(ends.searchsorted(hi - 1, side="right")) + 1
+        # rows of the touched blocks: one fixed index each, with its run
+        # of inner indices; then clip the first and last row to [lo, hi)
+        rows = self.fixed_len[b0:b1]
+        lens = self.inner_len[b0:b1].repeat(rows)
+        first_row = rows.cumsum() - rows
+        fixed = self.fixed_start[b0:b1].repeat(rows) + (
+            np.arange(len(lens)) - first_row.repeat(rows)
+        )
+        inner = self.inner_start[b0:b1].repeat(rows)
+        row_end = lens.cumsum() + (int(ends[b0]) - int(rows[0] * lens[0]))
+        r0 = int(row_end.searchsorted(lo, side="right"))
+        r1 = int(row_end.searchsorted(hi - 1, side="right")) + 1
+        lens, inner, fixed = lens[r0:r1], inner[r0:r1], fixed[r0:r1]
+        skip = lo - (int(row_end[r0]) - int(lens[0]))
+        inner[0] += skip
+        lens[0] -= skip
+        lens[-1] -= int(row_end[r1 - 1]) - hi
+        out = np.empty((hi - lo, 2), dtype=np.int64)
+        out[:, 0] = (inner - (lens.cumsum() - lens)).repeat(lens) + np.arange(hi - lo)
+        out[:, 1] = fixed.repeat(lens)
+        return out
+
+    def __iter__(self):
+        return iter(self[:])
+
+
 @dataclass(frozen=True)
 class CandidateBatch:
     """All left pairs of weight alpha and right pairs of weight beta.
 
     `left_pairs[:, 0]` indexes table A, `left_pairs[:, 1]` table B;
     `right_pairs` likewise over C and D.  alpha + beta equals the
-    enumeration target.
+    enumeration target.  A side is a (k, 2) int64 array or `RunBlocks`;
+    either way, `left_pairs[lo:hi]` is an array.
     """
 
     alpha: int
     beta: int
-    left_pairs: np.ndarray
-    right_pairs: np.ndarray
+    left_pairs: np.ndarray | RunBlocks
+    right_pairs: np.ndarray | RunBlocks
 
     @property
     def n_left(self) -> int:
@@ -221,19 +293,15 @@ class CandidateBatch:
         return len(self.right_pairs)
 
 
-def _expand_segments(
-    starts: list[int], ends: list[int], fixed: list[int]
-) -> np.ndarray:
-    starts_a = np.array(starts, dtype=np.int64)
-    ends_a = np.array(ends, dtype=np.int64)
-    fixed_a = np.array(fixed, dtype=np.int64)
-    lens = ends_a - starts_a
-    total = int(lens.sum())
-    out = np.empty((total, 2), dtype=np.int64)
-    offsets = np.cumsum(lens) - lens
-    out[:, 0] = np.repeat(starts_a - offsets, lens) + np.arange(total, dtype=np.int64)
-    out[:, 1] = np.repeat(fixed_a, lens)
-    return out
+def _segments(starts: list[int], ends: list[int], fixed: list[int]) -> RunBlocks:
+    """Heap drain segments [start, end) x {fixed} as single-row blocks."""
+    inner_start = np.array(starts, dtype=np.int64)
+    return RunBlocks(
+        inner_start,
+        np.array(ends, dtype=np.int64) - inner_start,
+        np.array(fixed, dtype=np.int64),
+        np.ones(len(inner_start), dtype=np.int64),
+    )
 
 
 class PairSumEnumerator:
@@ -346,9 +414,218 @@ class PairSumEnumerator:
         return CandidateBatch(
             alpha=alpha,
             beta=-neg_beta,
-            left_pairs=_expand_segments(lstarts, lends, ljs),
-            right_pairs=_expand_segments(rstarts, rends, rls),
+            left_pairs=_segments(lstarts, lends, ljs),
+            right_pairs=_segments(rstarts, rends, rls),
         )
+
+
+def _distinct_runs(
+    table: QuarterTable, ascending: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct weight, run start, run length) per equal-weight run, in
+    table order, or reversed if that makes the weights ascending."""
+    w = table.weights
+    starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
+    lens = np.diff(np.r_[starts, len(w)])
+    runs = (w[starts], starts, lens)
+    if ascending and not table.ascending:
+        runs = tuple(np.ascontiguousarray(a[::-1]) for a in runs)
+    return runs
+
+
+class _SumsetSide:
+    """Distinct-weight pairs of one table pair: (inner run x, fixed run y)
+    summing to u_in[x] + u_fx[y].  Inner weights are ascending for the
+    binary search; fixed runs stay in table order, so pairs listed
+    fixed-major come out in the heap's partner order."""
+
+    def __init__(self, inner: QuarterTable, fixed: QuarterTable):
+        self.u_in, self.in_start, self.in_len = _distinct_runs(inner, True)
+        self.u_fx, self.fx_start, self.fx_len = _distinct_runs(fixed, False)
+
+    def count_le(self, v: int) -> np.ndarray:
+        """Per fixed run y: the number of inner runs x with sum <= v."""
+        if v < 0:
+            return np.zeros(len(self.u_fx), dtype=np.int64)
+        v = np.uint64(v)
+        # v - u_fx wraps where u_fx > v; those rows are masked to 0.
+        below = np.searchsorted(self.u_in, v - self.u_fx, side="right")
+        return np.where(self.u_fx <= v, below, 0)
+
+    def sums(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Sums of the pairs (x, y) with lo[y] <= x < hi[y], listed y-major."""
+        counts = hi - lo
+        y = np.repeat(np.arange(len(counts)), counts)
+        x = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        x += np.arange(len(x))
+        out = self.u_in[x]
+        out += self.u_fx[y]
+        return out
+
+    def select(
+        self, sums: np.ndarray, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray
+    ) -> tuple[RunBlocks, np.ndarray]:
+        """Of the pairs listed by `sums(lo, hi)`, those whose sum is a key,
+        as blocks ordered by (key, fixed run); and the blocks per key."""
+        pos, per_key = _group(sums, keys)
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        y = np.searchsorted(ends, pos, side="right")
+        x = lo[y] + pos - (ends[y] - counts[y])
+        fields = self.in_start[x], self.in_len[x], self.fx_start[y], self.fx_len[y]
+        return RunBlocks(*fields), per_key
+
+
+def _common_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct values present in both arrays (neither empty)."""
+    a, b = np.sort(a), np.sort(b)
+    distinct = a[np.r_[True, a[1:] != a[:-1]]]
+    pos = np.minimum(np.searchsorted(b, distinct), len(b) - 1)
+    return distinct[b[pos] == distinct]
+
+
+def _group(values: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of `values` equal to some key, ordered by
+    (key, position), and their count per key.  `keys` is sorted, unique."""
+    rank = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    hit = np.flatnonzero(keys[rank] == values)
+    rank = rank[hit]
+    # a stable sort of 16-bit keys is a radix sort, several times faster
+    key = rank.astype(np.uint16) if len(keys) <= 1 << 16 else rank
+    return hit[np.argsort(key, kind="stable")], np.bincount(rank, minlength=len(keys))
+
+
+class SumsetEnumerator:
+    """Heap-free engine with `PairSumEnumerator`'s exact batch stream.
+
+    Alpha is swept in windows [lo, hi] (see the module docstring).  Per
+    fixed run, `_lcount`/`_rcount` are the sweep's frontiers: the
+    inner-run counts with sum below lo, and with right sum at most
+    d_1 - lo.  `window_pairs` caps the distinct-weight pairs either side
+    holds per window (default: the total table size, the four-table
+    space bound); `peak_window_pairs` is the most either side held.  A
+    window whose expanded batches fit the same cap is expanded in one
+    vectorized pass and its batches carry array views; otherwise they
+    carry `RunBlocks`.
+    """
+
+    engine_name = "python"
+
+    def __init__(
+        self,
+        tables: Sequence[QuarterTable],
+        target: int,
+        window_pairs: int | None = None,
+    ):
+        ta, tb, tc, td = tables
+        self.tables = tuple(tables)
+        self.target = int(target)
+        self.window_pairs = window_pairs or sum(t.size for t in tables)
+        self._left = _SumsetSide(ta, tb)
+        self._right = _SumsetSide(tc, td)
+        max_left = int(ta.weights.max()) + int(tb.weights.max())
+        max_right = int(tc.weights.max()) + int(td.weights.max())
+        self._lo = max(0, self.target - max_right)
+        self._end = min(self.target, max_left)
+        self._width = self._end - self._lo + 1
+        self._lcount = self._left.count_le(self._lo - 1)
+        self._rcount = self._right.count_le(self.target - self._lo)
+        self._pending: deque[CandidateBatch] = deque()
+        self.peak_window_pairs = 0
+        self.exhausted = False
+
+    def next_batch(self) -> CandidateBatch | None:
+        """Next equal-weight candidate batch, or None once exhausted."""
+        while not self._pending:
+            if self._lo > self._end:
+                self.exhausted = True
+                return None
+            self._sweep_window()
+        return self._pending.popleft()
+
+    def _probe(self, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+        lcount = self._left.count_le(hi)
+        rcount = self._right.count_le(self.target - hi - 1)
+        held = max(
+            int((lcount - self._lcount).sum()), int((self._rcount - rcount).sum())
+        )
+        return held, lcount, rcount
+
+    def _cut(self) -> tuple[int, tuple[int, np.ndarray, np.ndarray]]:
+        """A window end hi >= lo whose sides hold at most `window_pairs`
+        pairs, aiming for more than half that.  Starts from the last
+        window's width; doubles, then bisects."""
+        lo, end, cap = self._lo, self._end, self.window_pairs
+        low, probe = lo - 1, None  # largest end known to fit
+        high = None  # smallest end known not to fit
+        hi = min(lo + self._width - 1, end)
+        while True:
+            cand = self._probe(hi)
+            if cand[0] <= cap:
+                low, probe = hi, cand
+                if hi == end or 2 * cand[0] > cap:
+                    break
+                hi = min(2 * hi - lo + 1, end) if high is None else (hi + high) // 2
+            elif hi == lo:  # one alpha over a cap below min(|uA|, |uB|)
+                low, probe = hi, cand
+                break
+            else:
+                high = hi
+                hi = (low + high) // 2
+            if hi == low:
+                break
+        self._width = low - lo + 1
+        return low, probe
+
+    def _sweep_window(self) -> None:
+        hi, (held, lcount, rcount) = self._cut()
+        self.peak_window_pairs = max(self.peak_window_pairs, held)
+        l_lo, r_hi = self._lcount, self._rcount
+        self._lo, self._lcount, self._rcount = hi + 1, lcount, rcount
+        l_sum = self._left.sums(l_lo, lcount)
+        r_alpha = np.uint64(self.target) - self._right.sums(rcount, r_hi)
+        if not len(l_sum) or not len(r_alpha):
+            return
+        # alphas that are both a left sum and d_1 minus a right sum
+        common = _common_values(l_sum, r_alpha)
+        if not len(common):
+            return
+        # one side at a time, dropping each side's sums once used, so the
+        # window's peak memory stays near that of its pairs
+        left, l_counts = self._left.select(l_sum, l_lo, lcount, common)
+        del l_sum
+        right, r_counts = self._right.select(r_alpha, rcount, r_hi, common)
+        del r_alpha
+        l_edges = np.r_[0, np.cumsum(l_counts)]
+        r_edges = np.r_[0, np.cumsum(r_counts)]
+        target = self.target
+        emit = self._pending.append
+        if len(left) + len(right) <= self.window_pairs:
+            l_pairs, r_pairs = left[:], right[:]
+            l_at = np.r_[0, left._ends][l_edges].tolist()
+            r_at = np.r_[0, right._ends][r_edges].tolist()
+            for i, alpha in enumerate(common.tolist()):
+                emit(CandidateBatch(
+                    alpha, target - alpha,
+                    l_pairs[l_at[i] : l_at[i + 1]], r_pairs[r_at[i] : r_at[i + 1]],
+                ))
+            return
+        l_at, r_at = l_edges.tolist(), r_edges.tolist()
+        for i, alpha in enumerate(common.tolist()):
+            emit(CandidateBatch(
+                alpha, target - alpha,
+                _sub_blocks(left, l_at[i], l_at[i + 1]),
+                _sub_blocks(right, r_at[i], r_at[i + 1]),
+            ))
+
+
+def _sub_blocks(blocks: RunBlocks, b0: int, b1: int) -> RunBlocks:
+    return RunBlocks(
+        blocks.inner_start[b0:b1],
+        blocks.inner_len[b0:b1],
+        blocks.fixed_start[b0:b1],
+        blocks.fixed_len[b0:b1],
+    )
 
 
 def assemble_solution(

@@ -2,7 +2,8 @@
 
 The driver applies an optional surrogate reduction, builds the four
 block tables for the (possibly merged) first row, and streams candidate
-batches from the heap enumerator into the batch validator.  Tiny
+batches from the sumset enumerator (or the compiled heap twin, when
+numba is installed) into the batch validator.  Tiny
 instances skip the table machinery entirely and go straight to the
 brute-force oracle.  Enumeration is inherently serial; validation can
 run on worker threads behind a bounded batch buffer, which interleaves
@@ -10,7 +11,7 @@ collection and checking the way an offloaded validator would.
 
 First-solution mode stops as soon as one verified solution exists
 (cancellation is cooperative at chunk-pair granularity); all-solutions
-mode always runs to heap exhaustion and its result set is independent of
+mode always runs to exhaustion and its result set is independent of
 pipeline depth, worker count, backend, and chunk size.  Every reported
 solution is re-verified against the original, unreduced system.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumerate1d import PairSumEnumerator, build_quarter_tables, permuted_rhs
+from .enumerate1d import SumsetEnumerator, build_quarter_tables, permuted_rhs
 from .instances import (
     MspInstance,
     SolutionVector,
@@ -49,10 +50,6 @@ BRUTE_FORCE_MAX_N = 12
 
 _MODES = ("first", "all")
 _SENTINEL = object()
-
-
-class SolveTimeout(Exception):
-    """Raised when a time limit expires before a verdict is reached."""
 
 
 class _Deadline:
@@ -115,8 +112,10 @@ class SolveStats:
     exact_hits: int = 0
     max_batch_pairs: int = 0
     peak_table_entries: int = 0
+    peak_window_pairs: int = 0
     peak_heap1: int = 0
     peak_heap2: int = 0
+    progress: float = 0.0
     t_build: float = 0.0
     t_enumerate: float = 0.0
     t_validate: float = 0.0
@@ -133,8 +132,10 @@ class SolveStats:
             "exact_hits": self.exact_hits,
             "max_batch_pairs": self.max_batch_pairs,
             "peak_table_entries": self.peak_table_entries,
+            "peak_window_pairs": self.peak_window_pairs,
             "peak_heap1": self.peak_heap1,
             "peak_heap2": self.peak_heap2,
+            "progress": round(self.progress, 6),
             "t_build": round(self.t_build, 6),
             "t_enumerate": round(self.t_enumerate, 6),
             "t_validate": round(self.t_validate, 6),
@@ -142,6 +143,19 @@ class SolveStats:
             "fallback": self.fallback,
             "engine": self.engine,
         }
+
+
+class SolveTimeout(Exception):
+    """Raised when a time limit expires before a verdict is reached.
+
+    `stats` holds the partial SolveStats of the abandoned solve, with
+    `t_total` set and the validation counters of every batch checked so
+    far merged in.
+    """
+
+    def __init__(self, message: str, stats: SolveStats | None = None):
+        super().__init__(message)
+        self.stats = stats if stats is not None else SolveStats()
 
 
 @dataclass
@@ -178,7 +192,7 @@ def _make_enumerator(tables, target: int, engine: str | None):
 
         return fastenum.JitPairSumEnumerator(tables, target)
     if engine == "python":
-        return PairSumEnumerator(tables, target)
+        return SumsetEnumerator(tables, target)
     raise ValueError(f"unknown enumerator engine {engine!r}")
 
 
@@ -190,8 +204,9 @@ def solve(
 ) -> SolveResult:
     """Solve an instance under the given configuration.
 
-    Raises SolveTimeout if `time_limit` (seconds) elapses first; the
-    check is cooperative, so granularity is one batch / chunk pair.
+    Raises SolveTimeout, carrying the partial stats, if `time_limit`
+    (seconds) elapses first; the check is cooperative, so granularity is
+    one batch / chunk pair.
     """
     cfg = (cfg or SolverConfig()).validated()
     t_start = time.perf_counter()
@@ -222,7 +237,7 @@ def solve(
         stats.exact_hits = len(found)
         stats.t_total = time.perf_counter() - t_start
         if deadline is not None and time.perf_counter() > deadline:
-            raise SolveTimeout(f"time limit of {time_limit}s exceeded")
+            raise SolveTimeout(f"time limit of {time_limit}s exceeded", stats)
         return SolveResult("feasible" if found else "infeasible", found, stats)
 
     t0 = time.perf_counter()
@@ -236,20 +251,25 @@ def solve(
     stats.engine = enumerator.engine_name
     workers = _resolve_workers(cfg.worker_count)
 
-    if deadline is not None and time.perf_counter() > deadline:
-        raise SolveTimeout(f"time limit of {time_limit}s exceeded")
+    try:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise SolveTimeout(f"time limit of {time_limit}s exceeded")
+        if cfg.pipeline_depth == 1 and workers == 1:
+            found = _run_sequential(
+                enumerator, tables, work, inst, cfg, chunk, d_perm, stats, deadline
+            )
+        else:
+            found = pipeline_run(
+                enumerator, tables, work, inst, cfg, chunk, d_perm, stats,
+                deadline, workers,
+            )
+    except SolveTimeout as exc:
+        _enumerator_stats(stats, enumerator)
+        stats.t_total = time.perf_counter() - t_start
+        exc.stats = stats
+        raise
 
-    if cfg.pipeline_depth == 1 and workers == 1:
-        found = _run_sequential(
-            enumerator, tables, work, inst, cfg, chunk, d_perm, stats, deadline
-        )
-    else:
-        found = pipeline_run(
-            enumerator, tables, work, inst, cfg, chunk, d_perm, stats, deadline, workers
-        )
-
-    stats.peak_heap1 = enumerator.peak_h1
-    stats.peak_heap2 = enumerator.peak_h2
+    _enumerator_stats(stats, enumerator)
     if cfg.mode == "all":
         found.sort(key=solution_encoding)
         if len(set(found)) != len(found):
@@ -258,6 +278,16 @@ def solve(
         found = found[:1]
     stats.t_total = time.perf_counter() - t_start
     return SolveResult("feasible" if found else "infeasible", found, stats)
+
+
+def _enumerator_stats(stats: SolveStats, enumerator) -> None:
+    """Space peaks of whichever engine ran (0 for structures it lacks),
+    and progress 1.0 once the sweep is exhausted."""
+    stats.peak_heap1 = getattr(enumerator, "peak_h1", 0)
+    stats.peak_heap2 = getattr(enumerator, "peak_h2", 0)
+    stats.peak_window_pairs = getattr(enumerator, "peak_window_pairs", 0)
+    if enumerator.exhausted:
+        stats.progress = 1.0
 
 
 def _check_verified(original: MspInstance, sols) -> None:
@@ -275,34 +305,38 @@ def _run_sequential(
     vstats = ValidationStats()
     expired = _Deadline(deadline)
     found: list[SolutionVector] = []
-    while True:
-        if expired():
-            raise SolveTimeout("time limit exceeded")
-        t0 = time.perf_counter()
-        batch = enumerator.next_batch()
-        stats.t_enumerate += time.perf_counter() - t0
-        if batch is None:
-            break
-        _count_batch(stats, batch)
-        t0 = time.perf_counter()
-        sols = validate_chunked(
-            batch, tables, work, chunk, backend, d_perm, vstats,
-            should_stop=expired,
-        )
-        stats.t_validate += time.perf_counter() - t0
-        if expired.fired:  # the batch was abandoned part way
-            raise SolveTimeout("time limit exceeded")
-        _check_verified(original, sols)
-        found.extend(sols)
-        if cfg.mode == "first" and found:
-            break
-    _merge_vstats(stats, vstats)
+    try:
+        while True:
+            if expired():
+                raise SolveTimeout("time limit exceeded")
+            t0 = time.perf_counter()
+            batch = enumerator.next_batch()
+            stats.t_enumerate += time.perf_counter() - t0
+            if batch is None:
+                break
+            _count_batch(stats, batch, enumerator.target)
+            t0 = time.perf_counter()
+            sols = validate_chunked(
+                batch, tables, work, chunk, backend, d_perm, vstats,
+                should_stop=expired,
+            )
+            stats.t_validate += time.perf_counter() - t0
+            if expired.fired:  # the batch was abandoned part way
+                raise SolveTimeout("time limit exceeded")
+            _check_verified(original, sols)
+            found.extend(sols)
+            if cfg.mode == "first" and found:
+                break
+    finally:
+        _merge_vstats(stats, vstats)
     return found
 
 
-def _count_batch(stats: SolveStats, batch) -> None:
+def _count_batch(stats: SolveStats, batch, target: int) -> None:
     stats.batches += 1
     stats.max_batch_pairs = max(stats.max_batch_pairs, batch.n_left + batch.n_right)
+    # alpha only grows, so progress alpha / d_1 is monotone
+    stats.progress = batch.alpha / target if target else 1.0
 
 
 def _merge_vstats(stats: SolveStats, vstats: ValidationStats) -> None:
@@ -359,7 +393,7 @@ def pipeline_run(
                 if batch is None:
                     break
                 with lock:
-                    _count_batch(stats, batch)
+                    _count_batch(stats, batch, enumerator.target)
                 item = (seq, batch)
                 seq += 1
                 while not stop.is_set():

@@ -127,18 +127,19 @@ def compute_residuals(
     vectors; they serve the reference `match_batch`.
     """
     d = np.asarray(d, dtype=np.uint64)
-    left = _left_vectors(batch.left_pairs, tables)
-    raw = _right_sums(batch.right_pairs, tables)
+    left_pairs, right_pairs = batch.left_pairs[:], batch.right_pairs[:]
+    left = _left_vectors(left_pairs, tables)
+    raw = _right_sums(right_pairs, tables)
     keep = (raw <= d).all(axis=1)
     right = d - raw[keep]
     _assert_alpha(left[:, 0], batch.alpha, "left")
     _assert_alpha(right[:, 0], batch.alpha, "right")
     return (
-        ResidualSet(side="left", vectors=left, pairs=batch.left_pairs),
+        ResidualSet(side="left", vectors=left, pairs=left_pairs),
         ResidualSet(
             side="right",
             vectors=right,
-            pairs=batch.right_pairs[keep],
+            pairs=right_pairs[keep],
             n_filtered=int(len(keep) - keep.sum()),
         ),
     )
@@ -380,7 +381,9 @@ def validate_chunked(
     """Match a batch in (left chunk, right chunk) pieces of <= chunk_pairs.
 
     The union over chunk pairs equals one unchunked match; partitioning
-    the pair product disjointly makes duplicates impossible.  When
+    the pair product disjointly makes duplicates impossible.  Chunks are
+    sliced out of the batch only when validated, so a batch held as
+    `RunBlocks` is never expanded beyond one chunk per side.  When
     `should_stop` fires the remaining chunk pairs are abandoned, and the
     caller must treat the batch as unfinished.
     """

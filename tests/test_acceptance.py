@@ -17,11 +17,17 @@ import time
 import numpy as np
 import pytest
 
-from marketsplit.enumerate1d import assemble_solution, build_quarter_tables
+from marketsplit.enumerate1d import (
+    PairSumEnumerator,
+    SumsetEnumerator,
+    assemble_solution,
+    build_quarter_tables,
+)
 from marketsplit.instances import (
     MspInstance,
     SplitMix64,
     generate_instance,
+    surrogate_reduce,
     verify_solution,
 )
 from marketsplit.oracle import brute_force_all, two_list_all
@@ -31,6 +37,14 @@ from marketsplit.validate import ParallelBackend, SerialBackend
 from conftest import available_engines, drain_all_batches, seeded_instance
 
 ENGINES = available_engines()
+
+
+def _heap_enumerator(engine, tables, target):
+    if engine == "jit":
+        from marketsplit.fastenum import JitPairSumEnumerator
+
+        return JitPairSumEnumerator(tables, target)
+    return PairSumEnumerator(tables, target)
 
 
 def _report(num: int, name: str, detail: str) -> None:
@@ -128,15 +142,10 @@ def test_criterion_3_two_list_cross_check():
         }
         assert expected == set(brute_force_all(inst)), i
         tables = build_quarter_tables(inst)
+        enumerators = {"sumset": SumsetEnumerator(tables, target)}
         for engine in ENGINES:
-            if engine == "jit":
-                from marketsplit.fastenum import JitPairSumEnumerator
-
-                enum = JitPairSumEnumerator(tables, target)
-            else:
-                from marketsplit.enumerate1d import PairSumEnumerator
-
-                enum = PairSumEnumerator(tables, target)
+            enumerators[f"{engine} heap"] = _heap_enumerator(engine, tables, target)
+        for engine, enum in enumerators.items():
             emitted = set()
             for batch in drain_all_batches(enum):
                 for a_idx, b_idx in batch.left_pairs:
@@ -149,7 +158,7 @@ def test_criterion_3_two_list_cross_check():
     _report(
         3,
         "two-list/quad-heap cross-check",
-        f"{checked} single-row instances, engines {ENGINES}, exact",
+        f"{checked} single-row instances, sumset and heap engines {ENGINES}, exact",
     )
 
 
@@ -230,15 +239,26 @@ def test_criterion_6_stretch_classes():
 def test_criterion_7_space_bounds():
     inst = generate_instance(5, 100, 1)  # n = 40
     assert inst.n == 40
-    for engine in ENGINES:
-        result = solve(inst, SolverConfig(mode="first"), engine=engine)
-        s = result.stats
-        assert s.peak_table_entries == 4 * 2**10, engine
-        assert s.peak_heap1 == 2**10 and s.peak_heap2 == 2**10, engine
+    tables = build_quarter_tables(inst)
+    assert sum(t.size for t in tables) == 4 * 2**10
+    for engine in ENGINES:  # the heaps, drained over the same tables
+        enum = _heap_enumerator(engine, tables, int(inst.d[0]))
+        drain_all_batches(enum)
+        assert enum.peak_h1 == 2**10 and enum.peak_h2 == 2**10, engine
+    # After merging three rows the first-row weights are all distinct, so
+    # |uA| * |uB| = 2^20 and only the window cut keeps the sweep in bounds.
+    ta, tb = build_quarter_tables(surrogate_reduce(inst, 3))[:2]
+    assert len(np.unique(ta.weights)) * len(np.unique(tb.weights)) == 2**20
+    for reduce_rows in (1, 3):
+        cfg = SolverConfig(mode="first", reduce_rows=reduce_rows)
+        s = solve(inst, cfg, engine="python").stats
+        assert s.peak_table_entries == 4 * 2**10, reduce_rows
+        assert 0 < s.peak_window_pairs <= 4 * 2**10, reduce_rows
     _report(
         7,
         "space bounds at n=40",
-        f"table entries 4*2^10, heap peaks exactly 2^10, engines {ENGINES}",
+        f"table entries 4*2^10, heap peaks exactly 2^10 (engines {ENGINES}), "
+        "sumset windows <= 4*2^10 pairs per side, also with reduce_rows=3",
     )
 
 

@@ -151,6 +151,20 @@ class TestBenchCommand:
         assert len(records) == 3
         assert all(r["class"] == "(2, 10, 10)" for r in records)
 
+    def test_timeout_record_carries_partial_stats(self, tmp_path, capsys):
+        main(["generate", "--m", "3", "--K", "100", "--seed", "2",
+              "--count", "1", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        code = main(["bench", str(tmp_path), "--time-limit", "0.000001", "--stats"])
+        out = capsys.readouterr().out
+        assert code == 0
+        (record,) = [json.loads(line) for line in out.splitlines()
+                     if line.startswith("{")]
+        assert record["verdict"] == "timeout"
+        assert record["class"] == "(3, 20, 100)"
+        assert record["peak_table_entries"] == 4 * 2**5
+        assert record["t_total"] > 0 and "progress" in record
+
     def test_time_limit_marks_dash(self, tmp_path, capsys):
         main(["generate", "--m", "3", "--K", "100", "--seed", "2",
               "--count", "1", "--out-dir", str(tmp_path)])

@@ -1,19 +1,27 @@
-"""Quarter tables and the heap-driven batch enumerator."""
+"""Quarter tables, run blocks, and the heap and sumset enumerators."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketsplit.enumerate1d import (
     PairSumEnumerator,
+    RunBlocks,
+    SumsetEnumerator,
     _run_ends,
     assemble_solution,
     build_quarter_tables,
     permuted_rhs,
     run_extract,
 )
-from marketsplit.instances import MspInstance
+from marketsplit.instances import (
+    MspInstance,
+    generate_instance,
+    surrogate_reduce,
+)
 from marketsplit.oracle import two_list_all
 
 from conftest import available_engines, batch_vectors, drain_all_batches, seeded_instance
@@ -283,10 +291,147 @@ class TestEngineEquality:
                         (
                             b.alpha,
                             b.beta,
-                            b.left_pairs.tolist(),
-                            b.right_pairs.tolist(),
+                            b.left_pairs[:].tolist(),
+                            b.right_pairs[:].tolist(),
                         )
                         for b in drain_all_batches(enum)
                     ]
                 )
             assert streams[0] == streams[1], seed
+
+
+def _expand_reference(fields) -> list[list[int]]:
+    """Pairs of run-block fields, expanded one by one in t-major order."""
+    inner_start, inner_len, fixed_start, fixed_len = (f.tolist() for f in fields)
+    return [
+        [inner_start[b] + s, fixed_start[b] + t]
+        for b in range(len(inner_start))
+        for t in range(fixed_len[b])
+        for s in range(inner_len[b])
+    ]
+
+
+def _run_blocks(blocks) -> tuple[np.ndarray, ...]:
+    return tuple(
+        np.array([blk[i] for blk in blocks], dtype=np.int64) for i in range(4)
+    )
+
+
+class TestRunBlocks:
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.integers(0, 40), st.integers(1, 5),
+                st.integers(0, 40), st.integers(1, 4),
+            ),
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slices_equal_full_expansion(self, blocks, data):
+        fields = _run_blocks(blocks)
+        full = _expand_reference(fields)
+        rb = RunBlocks(*fields)
+        assert len(rb) == len(full)
+        assert rb[:].tolist() == full
+        for _ in range(5):
+            lo = data.draw(st.integers(-3, len(full) + 3))
+            hi = data.draw(st.integers(-3, len(full) + 3))
+            got = rb[lo:hi]
+            assert got.dtype == np.int64 and got.shape == (len(full[lo:hi]), 2)
+            assert got.tolist() == full[lo:hi]
+        # chunks of every size up to 4 tile the side, crossing each edge
+        for size in range(1, 5):
+            pieces = [rb[i : i + size] for i in range(0, len(full), size)]
+            assert sum((p.tolist() for p in pieces), []) == full
+
+    def test_empty(self):
+        rb = RunBlocks(*_run_blocks([]))
+        assert len(rb) == 0
+        assert rb[:].shape == (0, 2) and rb[:].dtype == np.int64
+        rb = RunBlocks(*_run_blocks([(3, 2, 5, 2)]))
+        assert rb[2:2].shape == (0, 2)
+        assert rb[4:1].shape == (0, 2)
+
+    def test_slices_only_and_iteration(self):
+        rb = RunBlocks(*_run_blocks([(3, 2, 5, 2)]))
+        with pytest.raises(TypeError):
+            rb[0]
+        with pytest.raises(TypeError):
+            rb[::2]
+        assert [list(p) for p in rb] == _expand_reference(_run_blocks([(3, 2, 5, 2)]))
+
+
+def batch_stream(enum) -> list[tuple]:
+    return [
+        (b.alpha, b.beta, b.left_pairs[:].tolist(), b.right_pairs[:].tolist())
+        for b in drain_all_batches(enum)
+    ]
+
+
+class TestSumsetEnumerator:
+    """The production engine against the heap reference and the oracle."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        n=st.integers(4, 16),
+        k=st.sampled_from([3, 4, 10, 100]),
+        d_mode=st.sampled_from(["half", "random"]),
+        reduce_rows=st.integers(1, 3),
+        window=st.sampled_from([1, 7, 2**16, None]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stream_equals_heap(self, seed, m, n, k, d_mode, reduce_rows, window):
+        inst = seeded_instance(seed, m=m, n=n, k=k, d_mode=d_mode)
+        if min(reduce_rows, m) > 1:
+            inst = surrogate_reduce(inst, min(reduce_rows, m))
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        expected = batch_stream(PairSumEnumerator(tables, target))
+        assert batch_stream(SumsetEnumerator(tables, target, window)) == expected
+
+    @pytest.mark.parametrize("window", [1, 7, None])
+    def test_completeness_and_uniqueness(self, window):
+        for seed in range(40):
+            n = 4 + seed % 13  # up to 16
+            inst = seeded_instance(seed, m=1, n=n, k=3 + seed % 7)
+            target = int(inst.d[0])
+            tables = build_quarter_tables(inst)
+            emitted = [
+                assemble_solution(tables, *left, *right)
+                for batch in drain_all_batches(SumsetEnumerator(tables, target, window))
+                for left in batch.left_pairs[:].tolist()
+                for right in batch.right_pairs[:].tolist()
+            ]
+            assert len(emitted) == len(set(emitted)), seed
+            expected = {
+                tuple((mask >> j) & 1 for j in range(n))
+                for mask in two_list_all(inst.a[0].tolist(), target)
+            }
+            assert set(emitted) == expected, seed
+
+    def test_window_pairs_bound(self):
+        for seed in range(20):
+            inst = seeded_instance(seed, m=2, n=8 + seed % 9, k=100)
+            tables = build_quarter_tables(inst)
+            enum = SumsetEnumerator(tables, int(inst.d[0]))
+            drain_all_batches(enum)
+            assert enum.exhausted
+            assert 0 < enum.peak_window_pairs <= sum(t.size for t in tables)
+
+    def test_stream_equals_heap_at_n40(self):
+        inst = generate_instance(5, 100, 1)
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        heap = PairSumEnumerator(tables, target)
+        sumset = SumsetEnumerator(tables, target)
+        count = 0
+        while (expected := heap.next_batch()) is not None:
+            got = sumset.next_batch()
+            assert (got.alpha, got.beta) == (expected.alpha, expected.beta)
+            assert np.array_equal(got.left_pairs[:], expected.left_pairs[:])
+            assert np.array_equal(got.right_pairs[:], expected.right_pairs[:])
+            count += 1
+        assert sumset.next_batch() is None and count > 100

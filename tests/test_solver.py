@@ -165,6 +165,7 @@ class TestPipeline:
                 continue
             first = solve(inst, SolverConfig(mode="first"))
             if first.stats.batches < full.stats.batches:
+                assert first.stats.progress < 1.0 == full.stats.progress
                 return
         pytest.fail("no instance stopped early")
 
@@ -201,8 +202,10 @@ class TestBackendsThroughSolver:
 class TestTimeout:
     def test_timeout_raises(self):
         inst = seeded_instance(0, m=3, n=20, k=100)
-        with pytest.raises(SolveTimeout):
+        with pytest.raises(SolveTimeout) as info:
             solve(inst, SolverConfig(mode="all"), time_limit=1e-9)
+        stats = info.value.stats
+        assert stats.peak_table_entries == 4 * 2**5 and stats.t_total > 0
 
     def test_timeout_pipelined(self):
         inst = seeded_instance(0, m=3, n=20, k=100)
@@ -228,9 +231,15 @@ class TestTimeout:
             mode="all", chunk_pairs=64, pipeline_depth=depth, worker_count=workers
         )
         t0 = time.perf_counter()
-        with pytest.raises(SolveTimeout):
+        with pytest.raises(SolveTimeout) as info:
             solve(inst, cfg, time_limit=0.5)
         assert time.perf_counter() - t0 < 5.0
+        # the partial stats: the batch, and the chunks validated so far
+        stats = info.value.stats
+        assert stats.batches >= 1
+        assert 1 <= stats.candidates_left < 2**16
+        assert stats.t_total >= 0.5
+        assert 0.0 <= stats.progress <= 1.0
 
     def test_no_timeout_when_fast(self):
         inst = MspInstance([[1, 2, 3], [2, 1, 3]], [3, 3])
@@ -246,10 +255,15 @@ class TestStats:
         assert s.batches > 0
         assert s.candidates_left > 0 and s.candidates_right > 0
         assert s.peak_table_entries == 4 * 2**4
-        assert s.peak_heap1 == 2**4 and s.peak_heap2 == 2**4
+        if s.engine == "python":  # the sumset sweep runs no heap
+            assert s.peak_heap1 == s.peak_heap2 == 0
+            assert 0 < s.peak_window_pairs <= 4 * 2**4
+        else:
+            assert s.engine == "jit"
+            assert s.peak_heap1 == 2**4 and s.peak_heap2 == 2**4
         assert s.exact_hits == len(result.solutions)
         assert s.t_total > 0
-        assert s.engine in ("python", "jit")
+        assert s.progress == 1.0
 
     def test_max_batch_pairs(self):
         inst = seeded_instance(8, m=2, n=16, k=9)
