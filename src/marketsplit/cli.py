@@ -50,7 +50,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args, mode: str) -> SolverConfig:
     return SolverConfig(
         mode=mode,
-        reduce_rows=max(args.reduce, 1),
+        reduce_rows=args.reduce,
         chunk_pairs=args.chunk_pairs,
         backend=args.backend,
         pipeline_depth=args.pipeline_depth,
@@ -182,6 +182,10 @@ def cmd_bench(args) -> int:
     paths = sorted(directory.glob("*.txt"))
     if not paths:
         print(f"error: no instance files (*.txt) in {directory}", file=sys.stderr)
+        return 2
+    if args.reduce < 1:
+        print(f"error: r out of range: --reduce {args.reduce} needs r >= 1",
+              file=sys.stderr)
         return 2
 
     cfg = _config_from_args(args, "first")

@@ -7,8 +7,8 @@ with the complete per-row contribution vector precomputed for every
 subset, plus that vector's linear 64-bit hash (see `encode_vector`), so
 the validator can hash a pair's residual from two table lookups.  The
 enumerators then stream, in ascending order of the left weight alpha,
-one candidate batch per alpha that is both a left sum wA + wB and the
-target minus a right sum wC + wD, without materializing either half
+the candidate pairs of every alpha that is both a left sum wA + wB and
+the target minus a right sum wC + wD, without materializing either half
 power set: space stays at 4 * 2^(n/4) table entries.
 
 Within a batch, left pairs are listed by B index, then A index; right
@@ -21,9 +21,14 @@ run) blocks -- a B run with an A run, or a D run with a C run -- held as
 windows over the distinct-weight sumsets uA + uB and d_1 - (uC + uD):
 per window, a vectorized `searchsorted` lists the distinct-weight pairs
 whose sums fall in it, and their common values are the window's
-batches.  Windows are cut so neither side holds more than
+alphas.  Windows are cut so neither side holds more than
 4 * 2^(n/4) distinct-weight pairs; a single alpha never needs more than
-min(|uA|, |uB|), so the cut always exists.
+min(|uA|, |uB|), so the cut always exists.  A window whose expanded
+index pairs fit the same bound leaves as one window batch: both sides
+as arrays, with the sorted alphas and each alpha's left and right edges,
+so the validator checks the whole window in one join.  Any other window
+leaves as one `RunBlocks` batch per alpha.  Split per alpha
+(`CandidateBatch.per_alpha`), both engines give the same stream.
 
 `PairSumEnumerator` is the paper's heap formulation and the reference
 the sumset engine is tested against.  H1 is a min-heap holding one
@@ -277,12 +282,20 @@ class CandidateBatch:
     `right_pairs` likewise over C and D.  alpha + beta equals the
     enumeration target.  A side is a (k, 2) int64 array or `RunBlocks`;
     either way, `left_pairs[lo:hi]` is an array.
+
+    A window batch (`alphas` given) holds several alphas, ascending: the
+    pairs of `alphas[i]` are `left_pairs[left_edges[i]:left_edges[i+1]]`
+    and likewise on the right, each alpha with pairs on both sides;
+    `alpha` and `beta` are those of `alphas[0]`.
     """
 
     alpha: int
     beta: int
     left_pairs: np.ndarray | RunBlocks
     right_pairs: np.ndarray | RunBlocks
+    alphas: np.ndarray | None = None
+    left_edges: np.ndarray | None = None
+    right_edges: np.ndarray | None = None
 
     @property
     def n_left(self) -> int:
@@ -291,6 +304,28 @@ class CandidateBatch:
     @property
     def n_right(self) -> int:
         return len(self.right_pairs)
+
+    def spans(self) -> tuple[list[int], list[int], list[int]]:
+        """(alphas, left edges, right edges) as lists, also for a batch of
+        one alpha."""
+        if self.alphas is None:
+            return [self.alpha], [0, self.n_left], [0, self.n_right]
+        return self.alphas.tolist(), self.left_edges.tolist(), self.right_edges.tolist()
+
+    def per_alpha(self) -> list["CandidateBatch"]:
+        """The batch as one single-alpha batch per alpha (array views)."""
+        if self.alphas is None:
+            return [self]
+        target = self.alpha + self.beta
+        alphas, l_at, r_at = self.spans()
+        return [
+            CandidateBatch(
+                alpha, target - alpha,
+                self.left_pairs[l_at[i] : l_at[i + 1]],
+                self.right_pairs[r_at[i] : r_at[i + 1]],
+            )
+            for i, alpha in enumerate(alphas)
+        ]
 
 
 def _segments(starts: list[int], ends: list[int], fixed: list[int]) -> RunBlocks:
@@ -504,9 +539,9 @@ class SumsetEnumerator:
     d_1 - lo.  `window_pairs` caps the distinct-weight pairs either side
     holds per window (default: the total table size, the four-table
     space bound); `peak_window_pairs` is the most either side held.  A
-    window whose expanded batches fit the same cap is expanded in one
-    vectorized pass and its batches carry array views; otherwise they
-    carry `RunBlocks`.
+    window whose expanded pairs fit the same cap is expanded in one
+    vectorized pass and emitted as one window batch (`alphas` set);
+    otherwise each alpha is its own batch of `RunBlocks`.
     """
 
     engine_name = "python"
@@ -601,14 +636,11 @@ class SumsetEnumerator:
         target = self.target
         emit = self._pending.append
         if len(left) + len(right) <= self.window_pairs:
-            l_pairs, r_pairs = left[:], right[:]
-            l_at = np.r_[0, left._ends][l_edges].tolist()
-            r_at = np.r_[0, right._ends][r_edges].tolist()
-            for i, alpha in enumerate(common.tolist()):
-                emit(CandidateBatch(
-                    alpha, target - alpha,
-                    l_pairs[l_at[i] : l_at[i + 1]], r_pairs[r_at[i] : r_at[i + 1]],
-                ))
+            alpha = int(common[0])
+            emit(CandidateBatch(
+                alpha, target - alpha, left[:], right[:], common,
+                np.r_[0, left._ends][l_edges], np.r_[0, right._ends][r_edges],
+            ))
             return
         l_at, r_at = l_edges.tolist(), r_edges.tolist()
         for i, alpha in enumerate(common.tolist()):

@@ -3,17 +3,24 @@
 The driver applies an optional surrogate reduction, builds the four
 block tables for the (possibly merged) first row, and streams candidate
 batches from the sumset enumerator (or the compiled heap twin, when
-numba is installed) into the batch validator.  Tiny
-instances skip the table machinery entirely and go straight to the
-brute-force oracle.  Enumeration is inherently serial; validation can
-run on worker threads behind a bounded batch buffer, which interleaves
-collection and checking the way an offloaded validator would.
+numba is installed) into the batch validator.  A window batch (many
+alphas, see `CandidateBatch`) is validated in one call and counted as
+the per-alpha batches it holds, so `batches`, `max_batch_pairs` and
+`progress` read the same for every engine; `validate_calls` counts the
+calls.  Tiny instances skip the table machinery entirely and go straight
+to the brute-force oracle.  Enumeration is inherently serial; validation
+can run on worker threads behind a bounded batch buffer, which
+interleaves collection and checking the way an offloaded validator
+would.
 
 First-solution mode stops as soon as one verified solution exists
-(cancellation is cooperative at chunk-pair granularity); all-solutions
-mode always runs to exhaustion and its result set is independent of
-pipeline depth, worker count, backend, and chunk size.  Every reported
-solution is re-verified against the original, unreduced system.
+(cancellation is cooperative at chunk-pair granularity).  It returns the
+validator's first solution, which has the smallest alpha of its batch
+((right, left) order within one chunk pair), and counts no alpha past
+that one.  All-solutions mode always runs to exhaustion and its result
+set is independent of pipeline depth, worker count, backend, and chunk
+size.  Every reported solution is re-verified against the original,
+unreduced system.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import os
 import queue
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +114,7 @@ class SolveStats:
     """Counters and timings of one solve (fields are listed in README)."""
 
     batches: int = 0
+    validate_calls: int = 0
     candidates_left: int = 0
     candidates_right: int = 0
     hash_hits: int = 0
@@ -126,6 +135,7 @@ class SolveStats:
     def as_dict(self) -> dict:
         return {
             "batches": self.batches,
+            "validate_calls": self.validate_calls,
             "candidates_left": self.candidates_left,
             "candidates_right": self.candidates_right,
             "hash_hits": self.hash_hits,
@@ -264,12 +274,12 @@ def solve(
                 deadline, workers,
             )
     except SolveTimeout as exc:
-        _enumerator_stats(stats, enumerator)
+        _enumerator_stats(stats, enumerator, finished=False)
         stats.t_total = time.perf_counter() - t_start
         exc.stats = stats
         raise
 
-    _enumerator_stats(stats, enumerator)
+    _enumerator_stats(stats, enumerator, finished=cfg.mode == "all" or not found)
     if cfg.mode == "all":
         found.sort(key=solution_encoding)
         if len(set(found)) != len(found):
@@ -280,13 +290,14 @@ def solve(
     return SolveResult("feasible" if found else "infeasible", found, stats)
 
 
-def _enumerator_stats(stats: SolveStats, enumerator) -> None:
+def _enumerator_stats(stats: SolveStats, enumerator, finished: bool) -> None:
     """Space peaks of whichever engine ran (0 for structures it lacks),
-    and progress 1.0 once the sweep is exhausted."""
+    and progress 1.0 once the sweep is exhausted and every batch was
+    validated (`finished`)."""
     stats.peak_heap1 = getattr(enumerator, "peak_h1", 0)
     stats.peak_heap2 = getattr(enumerator, "peak_h2", 0)
     stats.peak_window_pairs = getattr(enumerator, "peak_window_pairs", 0)
-    if enumerator.exhausted:
+    if finished and enumerator.exhausted:
         stats.progress = 1.0
 
 
@@ -314,13 +325,14 @@ def _run_sequential(
             stats.t_enumerate += time.perf_counter() - t0
             if batch is None:
                 break
-            _count_batch(stats, batch, enumerator.target)
             t0 = time.perf_counter()
             sols = validate_chunked(
                 batch, tables, work, chunk, backend, d_perm, vstats,
                 should_stop=expired,
             )
             stats.t_validate += time.perf_counter() - t0
+            last_alpha = _solving_alpha(cfg, work, tables, sols)
+            _count_batch(stats, batch, enumerator.target, last_alpha)
             if expired.fired:  # the batch was abandoned part way
                 raise SolveTimeout("time limit exceeded")
             _check_verified(original, sols)
@@ -332,11 +344,29 @@ def _run_sequential(
     return found
 
 
-def _count_batch(stats: SolveStats, batch, target: int) -> None:
-    stats.batches += 1
-    stats.max_batch_pairs = max(stats.max_batch_pairs, batch.n_left + batch.n_right)
-    # alpha only grows, so progress alpha / d_1 is monotone
-    stats.progress = batch.alpha / target if target else 1.0
+def _solving_alpha(cfg: SolverConfig, work: MspInstance, tables, sols) -> int | None:
+    """In first mode, the alpha (left weight) of a validated batch's first
+    solution, which has the smallest alpha of the batch's solutions."""
+    if cfg.mode != "first" or not sols:
+        return None
+    cols = tables[0].var_indices + tables[1].var_indices
+    return sum(int(work.a[0, c]) for c in cols if sols[0][c])
+
+
+def _count_batch(stats: SolveStats, batch, target: int, last_alpha: int | None) -> None:
+    """Count a validated batch per alpha, as the batches of a per-alpha
+    stream would count, but no alpha past `last_alpha` (the solving one,
+    where a first-solution solve stops)."""
+    alphas, l_at, r_at = batch.spans()
+    k = len(alphas) if last_alpha is None else bisect_right(alphas, last_alpha)
+    stats.batches += k
+    stats.max_batch_pairs = max(
+        stats.max_batch_pairs,
+        max(l_at[i + 1] - l_at[i] + r_at[i + 1] - r_at[i] for i in range(k)),
+    )
+    # alpha only grows along the sweep; with several workers batches may
+    # finish out of order, so keep the largest
+    stats.progress = max(stats.progress, alphas[k - 1] / target if target else 1.0)
 
 
 def _merge_vstats(stats: SolveStats, vstats: ValidationStats) -> None:
@@ -344,6 +374,7 @@ def _merge_vstats(stats: SolveStats, vstats: ValidationStats) -> None:
     stats.candidates_right += vstats.candidates_right
     stats.hash_hits += vstats.hash_hits
     stats.exact_hits += vstats.exact_hits
+    stats.validate_calls += vstats.calls
 
 
 def pipeline_run(
@@ -363,8 +394,10 @@ def pipeline_run(
     The bounded buffer gives backpressure at `pipeline_depth` batches in
     flight.  A stop event (first solution found, deadline, or worker
     error) halts the producer and is polled by workers between chunk
-    pairs, as is the deadline; a draining worker never discards a
-    solution it already found.  In all-solutions mode only a deadline or
+    pairs, as is the deadline; once it is set, workers drain the buffer
+    without validating, but never discard a solution already found.
+    Workers count the batches they validate, so with one worker the
+    counts equal the sequential loop's.  In all-solutions mode only a deadline or
     an error sets the stop event, and both end the solve with an
     exception, so an abandoned batch is never reported as exhausted.
     """
@@ -392,8 +425,6 @@ def pipeline_run(
                     stats.t_enumerate += time.perf_counter() - t0
                 if batch is None:
                     break
-                with lock:
-                    _count_batch(stats, batch, enumerator.target)
                 item = (seq, batch)
                 seq += 1
                 while not stop.is_set():
@@ -431,6 +462,8 @@ def pipeline_run(
                     continue
                 if item is _SENTINEL:
                     break
+                if stop.is_set():  # drain unvalidated, so the producer ends
+                    continue
                 seq, batch = item
                 t0 = time.perf_counter()
                 sols = validate_chunked(
@@ -443,8 +476,10 @@ def pipeline_run(
                     vstats,
                     should_stop=cancelled,
                 )
+                last_alpha = _solving_alpha(cfg, work, tables, sols)
                 with lock:
                     stats.t_validate += time.perf_counter() - t0
+                    _count_batch(stats, batch, enumerator.target, last_alpha)
                 if sols:
                     _check_verified(original, sols)
                     with lock:

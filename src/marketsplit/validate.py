@@ -32,11 +32,18 @@ reference, which hashes built residuals and joins by sort and bisection.
 Oversized batches are cut into chunk pairs to respect a memory budget;
 chunking never changes the result set because the pair product is
 partitioned disjointly.
+
+A window batch carries the candidates of many alphas (see
+`CandidateBatch`) and is validated by the same joins as one batch: the
+hash covers coordinate 0, which is alpha on both sides, so pairs of
+different alphas can only collide, and the exact confirmation rejects
+any such hit.  One call then pays the fixed cost of hashing and joining
+once for the whole window instead of once per alpha.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,12 +64,14 @@ DEFAULT_MEMORY_BUDGET = 512 * 2**20
 
 @dataclass
 class ValidationStats:
-    """Counters accumulated across batches."""
+    """Counters accumulated across batches; `calls` counts
+    `validate_chunked` calls."""
 
     candidates_left: int = 0
     candidates_right: int = 0
     hash_hits: int = 0
     exact_hits: int = 0
+    calls: int = 0
 
 
 @dataclass
@@ -110,8 +119,9 @@ def _right_sums(pairs: np.ndarray, tables: Sequence[QuarterTable]) -> np.ndarray
     return tables[2].contribs[pairs[:, 0]] + tables[3].contribs[pairs[:, 1]]
 
 
-def _assert_alpha(coord0: np.ndarray, alpha: int, side: str) -> None:
-    """Coordinate 0 of every residual on `side` must equal alpha."""
+def _assert_alpha(coord0: np.ndarray, alpha, side: str) -> None:
+    """Coordinate 0 of every residual on `side` must equal its alpha (one
+    for all, or one per residual)."""
     if not (coord0 == alpha).all():
         raise AssertionError(f"{side} residual coordinate 0 disagrees with alpha")
 
@@ -386,6 +396,12 @@ def validate_chunked(
     `RunBlocks` is never expanded beyond one chunk per side.  When
     `should_stop` fires the remaining chunk pairs are abandoned, and the
     caller must treat the batch as unfinished.
+
+    A window batch is joined as a whole (see the module docstring): each
+    pair's first coordinate is checked against its own alpha, and a left
+    chunk meets only the right chunks that hold one of its alphas.
+    Solutions come in chunk-pair order, (right, left) within a chunk
+    pair, so by ascending alpha.
     """
     if chunk_pairs < 1:
         raise ValueError(f"chunk_pairs must be >= 1, got {chunk_pairs}")
@@ -395,26 +411,42 @@ def validate_chunked(
     d = np.ascontiguousarray(d, dtype=np.uint64)
     ta, tb, tc, td = tables
 
+    alphas, l_at, r_at = batch.spans()
+    n_left, n_right = l_at[-1], r_at[-1]
+    if stats is not None:
+        stats.calls += 1
+
     solutions: list[SolutionVector] = []
-    first_sweep = True
-    for ls in range(0, max(batch.n_left, 1), chunk_pairs):
-        left_chunk = batch.left_pairs[ls : ls + chunk_pairs]
+    right_checked = 0  # right pairs before this were asserted and counted
+    for ls in range(0, max(n_left, 1), chunk_pairs):
+        l_end = min(ls + chunk_pairs, n_left)
+        left_chunk = batch.left_pairs[ls:l_end]
         a_idx, b_idx = left_chunk[:, 0], left_chunk[:, 1]
-        _assert_alpha(ta.weights[a_idx] + tb.weights[b_idx], batch.alpha, "left")
+        _assert_alpha(
+            ta.weights[a_idx] + tb.weights[b_idx],
+            _pair_alphas(alphas, l_at, ls, l_end),
+            "left",
+        )
         left_h = backend.left_hashes(tables, left_chunk)
         if stats is not None:
             stats.candidates_left += len(left_chunk)
-        for rs in range(0, max(batch.n_right, 1), chunk_pairs):
+        # only the right chunks holding this chunk's alphas
+        r_lo, r_hi = _partner_range(l_at, r_at, ls, l_end)
+        for rs in range(r_lo - r_lo % chunk_pairs, r_hi, chunk_pairs):
             if should_stop is not None and should_stop():
                 return solutions
-            right_chunk = batch.right_pairs[rs : rs + chunk_pairs]
-            if first_sweep:
+            r_end = min(rs + chunk_pairs, n_right)
+            right_chunk = batch.right_pairs[rs:r_end]
+            if rs >= right_checked:
                 c_idx, d_idx = right_chunk[:, 0], right_chunk[:, 1]
                 _assert_alpha(
-                    d[0] - (tc.weights[c_idx] + td.weights[d_idx]), batch.alpha, "right"
+                    d[0] - (tc.weights[c_idx] + td.weights[d_idx]),
+                    _pair_alphas(alphas, r_at, rs, r_end),
+                    "right",
                 )
                 if stats is not None:
                     stats.candidates_right += len(right_chunk)
+                right_checked = r_end
             li, ri = backend.join(left_h, backend.right_hashes(tables, right_chunk, d))
             if not len(li):
                 continue
@@ -423,8 +455,30 @@ def validate_chunked(
                 stats.hash_hits += len(li)
                 stats.exact_hits += len(found)
             solutions.extend(found)
-        first_sweep = False
     return solutions
+
+
+def _pair_alphas(alphas: list[int], edges: list[int], lo: int, hi: int):
+    """The alpha of each pair lo..hi-1 of a side whose alpha i owns pairs
+    edges[i]..edges[i+1]-1; a scalar when one alpha owns them all."""
+    if len(alphas) == 1:
+        return alphas[0]
+    a0, a1 = bisect_right(edges, lo) - 1, bisect_left(edges, hi)
+    if a1 - a0 == 1:
+        return alphas[a0]
+    owned = np.diff(np.clip(edges[a0 : a1 + 1], lo, hi))
+    return np.array(alphas[a0:a1], dtype=np.uint64).repeat(owned)
+
+
+def _partner_range(
+    l_edges: list[int], r_edges: list[int], lo: int, hi: int
+) -> tuple[int, int]:
+    """Right pairs [start, end) of the alphas that left pairs lo..hi-1 hold;
+    all of them for a batch of one alpha, even one without left pairs."""
+    if len(l_edges) == 2:
+        return 0, r_edges[1]
+    a0, a1 = bisect_right(l_edges, lo) - 1, bisect_left(l_edges, hi)
+    return r_edges[a0], r_edges[a1]
 
 
 def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> int:

@@ -62,18 +62,22 @@ def available_engines() -> list[str]:
 
 
 def batch_vectors(tables, batch) -> set[tuple[int, ...]]:
-    """Characteristic vectors of every left x right combination in a batch."""
+    """Characteristic vectors of every left x right combination of equal
+    alpha in a batch."""
     from marketsplit.enumerate1d import assemble_solution
 
     out = set()
-    for a_idx, b_idx in batch.left_pairs:
-        for c_idx, d_idx in batch.right_pairs:
-            out.add(assemble_solution(tables, a_idx, b_idx, c_idx, d_idx))
+    for part in batch.per_alpha():
+        for a_idx, b_idx in part.left_pairs:
+            for c_idx, d_idx in part.right_pairs:
+                out.add(assemble_solution(tables, a_idx, b_idx, c_idx, d_idx))
     return out
 
 
 def drain_all_batches(enumerator):
+    """Every batch an enumerator emits, window batches split per alpha, so
+    the list compares alpha by alpha between engines."""
     batches = []
     while (batch := enumerator.next_batch()) is not None:
-        batches.append(batch)
+        batches.extend(batch.per_alpha())
     return batches

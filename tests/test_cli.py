@@ -64,6 +64,7 @@ class TestSolveCommand:
         assert record["solutions"] == 2
         assert record["instance"] == example_path
         assert "seconds" in record and "batches" in record
+        assert "validate_calls" in record
 
     def test_solver_flags_accepted(self, example_path):
         assert (
@@ -183,6 +184,16 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "(3, 20, 10)*" in out
+
+    @pytest.mark.parametrize("r", ["0", "-3"])
+    def test_reduce_below_one_rejected(self, tmp_path, capsys, r):
+        main(["generate", "--m", "2", "--K", "10", "--seed", "1",
+              "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert main(["bench", str(tmp_path), "--reduce", r]) == 2
+        captured = capsys.readouterr()
+        assert "r out of range" in captured.err
+        assert captured.out == ""  # nothing was solved
 
     def test_multiple_classes_grouped(self, tmp_path, capsys):
         main(["generate", "--m", "2", "--K", "10", "--seed", "1",

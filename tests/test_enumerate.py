@@ -427,11 +427,17 @@ class TestSumsetEnumerator:
         target = int(inst.d[0])
         heap = PairSumEnumerator(tables, target)
         sumset = SumsetEnumerator(tables, target)
+
+        def sumset_per_alpha():
+            while (batch := sumset.next_batch()) is not None:
+                yield from batch.per_alpha()
+
+        per_alpha = sumset_per_alpha()
         count = 0
         while (expected := heap.next_batch()) is not None:
-            got = sumset.next_batch()
+            got = next(per_alpha)
             assert (got.alpha, got.beta) == (expected.alpha, expected.beta)
             assert np.array_equal(got.left_pairs[:], expected.left_pairs[:])
             assert np.array_equal(got.right_pairs[:], expected.right_pairs[:])
             count += 1
-        assert sumset.next_batch() is None and count > 100
+        assert next(per_alpha, None) is None and count > 100

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketsplit.enumerate1d import PairSumEnumerator, build_quarter_tables
-from marketsplit.instances import MspInstance, SplitMix64, verify_solution
+from marketsplit.instances import (
+    MspInstance,
+    SplitMix64,
+    generate_instance,
+    surrogate_reduce,
+    verify_solution,
+)
 from marketsplit.oracle import brute_force_all
 from marketsplit.solver import (
     BRUTE_FORCE_MAX_N,
@@ -17,6 +23,7 @@ from marketsplit.solver import (
     SolverConfig,
     solve,
 )
+from marketsplit.validate import validate_chunked
 
 from conftest import available_engines, seeded_instance, small_instances
 
@@ -170,6 +177,52 @@ class TestPipeline:
         pytest.fail("no instance stopped early")
 
 
+def _per_alpha_first(inst: MspInstance, reduce_rows: int):
+    """First-mode reference: the heap's batches, one alpha and one
+    `validate_chunked` call each, up to the first solution.  Returns the
+    solutions, batches, max_batch_pairs and progress a solve reports."""
+    work = surrogate_reduce(inst, reduce_rows)
+    tables = build_quarter_tables(work)
+    target = int(work.d[0])
+    enum = PairSumEnumerator(tables, target)
+    batches = max_pairs = 0
+    while (batch := enum.next_batch()) is not None:
+        batches += 1
+        max_pairs = max(max_pairs, batch.n_left + batch.n_right)
+        sols = validate_chunked(batch, tables, work, 10**9)
+        if sols:
+            return sols[:1], batches, max_pairs, batch.alpha / target
+    return [], batches, max_pairs, 1.0
+
+
+class TestWindowBatchesThroughSolver:
+    """With reduce_rows=3 most alphas leave the sweep in window batches;
+    a first-solution solve must still read like the per-alpha loop."""
+
+    @pytest.mark.parametrize("depth", [1, 4], ids=["sequential", "pipeline_run"])
+    def test_first_mode_reduced_equals_per_alpha_loop(self, depth):
+        # feasible instances whose solving alpha sits in a window batch
+        # before other alphas: first of 2 (m = 3), 47th of 68 (m = 5)
+        instances = [
+            seeded_instance(0, m=3, n=28, k=100),
+            seeded_instance(8, m=3, n=28, k=100),
+            generate_instance(5, 100, 18),
+        ]
+        calls = batches = 0
+        for inst in instances:
+            expected = _per_alpha_first(inst, 3)
+            cfg = SolverConfig(
+                mode="first", reduce_rows=3, pipeline_depth=depth, worker_count=1
+            )
+            result = solve(inst, cfg, engine="python")
+            s = result.stats
+            got = (result.solutions, s.batches, s.max_batch_pairs, s.progress)
+            assert got == expected, inst.n
+            assert result.verdict == "feasible"
+            calls, batches = calls + s.validate_calls, batches + s.batches
+        assert calls < batches  # windows were validated whole
+
+
 @pytest.mark.skipif(len(ENGINES) < 2, reason="compiled engine unavailable")
 class TestEnginesAtScale:
     def test_full_enumeration_agreement_beyond_oracle_reach(self):
@@ -236,7 +289,7 @@ class TestTimeout:
         assert time.perf_counter() - t0 < 5.0
         # the partial stats: the batch, and the chunks validated so far
         stats = info.value.stats
-        assert stats.batches >= 1
+        assert stats.batches >= 1 and stats.validate_calls == 1
         assert 1 <= stats.candidates_left < 2**16
         assert stats.t_total >= 0.5
         assert 0.0 <= stats.progress <= 1.0
@@ -262,6 +315,7 @@ class TestStats:
             assert s.engine == "jit"
             assert s.peak_heap1 == 2**4 and s.peak_heap2 == 2**4
         assert s.exact_hits == len(result.solutions)
+        assert 1 <= s.validate_calls <= s.batches
         assert s.t_total > 0
         assert s.progress == 1.0
 

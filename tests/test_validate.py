@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,12 @@ from marketsplit.enumerate1d import (
     HASH_SEED,
     CandidateBatch,
     PairSumEnumerator,
+    SumsetEnumerator,
     build_quarter_tables,
     hash_multipliers,
     permuted_rhs,
 )
-from marketsplit.instances import MspInstance, SplitMix64
+from marketsplit.instances import MspInstance, SplitMix64, surrogate_reduce
 from marketsplit.oracle import brute_force_all
 from marketsplit.validate import (
     ParallelBackend,
@@ -23,6 +26,7 @@ from marketsplit.validate import (
     SerialBackend,
     ValidationStats,
     compute_residuals,
+    default_chunk_pairs,
     encode_batch,
     encode_vector,
     get_backend,
@@ -408,6 +412,102 @@ class TestChunking:
         batch = enum.next_batch()
         with pytest.raises(ValueError):
             validate_chunked(batch, tables, inst, 0)
+
+
+def _window_batches(inst, window=None):
+    """Tables of `inst` and the raw batch stream of its sumset sweep, with
+    the window batches (several alphas) it emits left whole."""
+    tables = build_quarter_tables(inst)
+    enum = SumsetEnumerator(tables, int(inst.d[0]), window)
+    batches = []
+    while (batch := enum.next_batch()) is not None:
+        batches.append(batch)
+    return tables, batches
+
+
+def _reduced_instance(seed, m, n, k):
+    inst = seeded_instance(seed, m=m, n=n, k=k)
+    return surrogate_reduce(inst, m) if m > 1 else inst
+
+
+def _corrupt(batch, field, i, delta):
+    """A copy of a window batch with entry i of one edge/alpha array moved."""
+    values = getattr(batch, field).copy()
+    values[i] += delta
+    return dataclasses.replace(batch, **{field: values})
+
+
+class TestWindowBatches:
+    """A window batch (many alphas, one call) against its per-alpha parts."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        n=st.integers(4, 16),
+        k=st.sampled_from([3, 10, 100, 1000]),
+        window=st.sampled_from([7, 64, None]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_window_equals_per_alpha_concatenation(self, seed, m, n, k, window):
+        inst = _reduced_instance(seed, m, n, k)
+        tables, batches = _window_batches(inst, window)
+        for chunk in (1, 7, default_chunk_pairs(inst.m)):
+            for backend in ALL_BACKENDS:
+                whole, parts = ValidationStats(), ValidationStats()
+                for batch in batches:
+                    got = validate_chunked(batch, tables, inst, chunk, backend, stats=whole)
+                    expected = []
+                    for part in batch.per_alpha():
+                        expected += validate_chunked(
+                            part, tables, inst, chunk, backend, stats=parts
+                        )
+                    if chunk >= batch.n_left + batch.n_right:
+                        assert got == expected  # one chunk pair: (alpha, right, left)
+                    else:
+                        assert sorted(got) == sorted(expected)
+                assert whole.calls == len(batches)
+                assert parts.calls == sum(len(b.per_alpha()) for b in batches)
+                whole.calls = parts.calls = 0
+                assert whole == parts, (chunk, backend.name)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("chunk", [1, 7, 10**9])
+    def test_alpha_mismatch_inside_window_raises(self, backend, chunk):
+        inst = _reduced_instance(1, 2, 16, 10)
+        tables, batches = _window_batches(inst)
+        batch = next(b for b in batches if b.alphas is not None and len(b.alphas) >= 3)
+        validate_chunked(batch, tables, inst, chunk, backend)  # intact: no error
+        i = len(batch.alphas) // 2
+        # a pair handed to its neighbour alpha, on either side, or an alpha
+        # that neither side's pairs have
+        for field, side in (("left_edges", "left"), ("right_edges", "right"),
+                            ("alphas", "left")):
+            bad = _corrupt(batch, field, i, 1)
+            with pytest.raises(AssertionError, match=side):
+                validate_chunked(bad, tables, inst, chunk, backend)
+
+    def test_forced_cross_alpha_collisions(self):
+        # constant hashes make every left pair of a window hit every right
+        # pair, whatever its alpha; exact confirmation alone must recover
+        # the oracle's solutions
+        inst = _reduced_instance(1, 2, 16, 10)
+        tables, batches = _window_batches(inst)
+        per_alpha = sum(
+            p.n_left * p.n_right for b in batches for p in b.per_alpha()
+        )
+        assert any(b.alphas is not None and len(b.alphas) > 1 for b in batches)
+        constant = [
+            SerialBackend(encode_fn=lambda vec: 42),
+            ParallelBackend(encode_fn=lambda arr: np.full(len(arr), 42, dtype=np.uint64)),
+        ]
+        for backend in constant:
+            stats = ValidationStats()
+            found = []
+            for batch in batches:
+                found += validate_chunked(batch, tables, inst, 10**9, backend, stats=stats)
+            assert sorted(found) == brute_force_all(inst), backend.name
+            assert stats.exact_hits == len(found)
+            assert stats.hash_hits > per_alpha  # cross-alpha pairs did hit
 
 
 class TestMassiveMultiplicity:
