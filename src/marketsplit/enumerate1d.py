@@ -17,30 +17,30 @@ every table, so each side of a batch is a list of (fixed run x inner
 run) blocks -- a B run with an A run, or a D run with a C run -- held as
 `RunBlocks` and expanded to index pairs only a slice at a time.
 
-`SumsetEnumerator` is the production engine.  It sweeps alpha in
-windows over the distinct-weight sumsets uA + uB and d_1 - (uC + uD):
-per window, a vectorized `searchsorted` lists the distinct-weight pairs
-whose sums fall in it, and their common values are the window's
-alphas.  Windows are cut so neither side holds more than
+`SumsetEnumerator` is the one enumerator `solve()` runs.  It sweeps
+alpha in windows over the distinct-weight sumsets uA + uB and
+d_1 - (uC + uD): per window, a vectorized `searchsorted` lists the
+distinct-weight pairs whose sums fall in it, and their common values are
+the window's alphas.  Windows are cut so neither side holds more than
 4 * 2^(n/4) distinct-weight pairs; a single alpha never needs more than
 min(|uA|, |uB|), so the cut always exists.  A window whose expanded
-index pairs fit the same bound leaves as one window batch: both sides
-as arrays, with the sorted alphas and each alpha's left and right edges,
-so the validator checks the whole window in one join.  Any other window
+index pairs fit the same bound leaves as one window batch: both sides as
+arrays, with the sorted alphas and each alpha's left and right edges, so
+the validator checks the whole window in one join.  Any other window
 leaves as one `RunBlocks` batch per alpha.  Split per alpha
-(`CandidateBatch.per_alpha`), both engines give the same stream.
+(`CandidateBatch.per_alpha`), both enumerators give the same stream.
 
-`PairSumEnumerator` is the paper's heap formulation and the reference
-the sumset engine is tested against.  H1 is a min-heap holding one
-entry per B-subset, keyed by the combined first-row weight of (current A
-position, that B-subset); H2 mirrors it as a max-heap over (C position,
-D-subset).  Advancing the light side on undershoot and the heavy side on
-overshoot visits every combined weight pair exactly once; when the two
-top keys meet the target, both heaps are drained of all equal-key
-entries, each entry standing for its full equal-weight run.  Entries
-always sit at the start of an equal-weight run, so pop counts are
-proportional to distinct weights rather than table size, and the heaps
-never grow past |B| and |D|.
+`PairSumEnumerator` is the paper's heap formulation, kept as the
+reference the sumset sweep is tested against.  H1 is a min-heap holding
+one entry per B-subset, keyed by the combined first-row weight of
+(current A position, that B-subset); H2 mirrors it as a max-heap over
+(C position, D-subset).  Advancing the light side on undershoot and the
+heavy side on overshoot visits every combined weight pair exactly once;
+when the two top keys meet the target, both heaps are drained of all
+equal-key entries, each entry standing for its full equal-weight run.
+Entries always sit at the start of an equal-weight run, so pop counts
+are proportional to distinct weights rather than table size, and the
+heaps never grow past |B| and |D|.
 """
 
 from __future__ import annotations
@@ -346,8 +346,6 @@ class PairSumEnumerator:
     immutable and safe to hand to other threads.
     """
 
-    engine_name = "python"
-
     def __init__(self, tables: Sequence[QuarterTable], target: int):
         ta, tb, tc, td = tables
         self.tables = tuple(tables)
@@ -543,8 +541,6 @@ class SumsetEnumerator:
     vectorized pass and emitted as one window batch (`alphas` set);
     otherwise each alpha is its own batch of `RunBlocks`.
     """
-
-    engine_name = "python"
 
     def __init__(
         self,

@@ -2,16 +2,15 @@
 
 The driver applies an optional surrogate reduction, builds the four
 block tables for the (possibly merged) first row, and streams candidate
-batches from the sumset enumerator (or the compiled heap twin, when
-numba is installed) into the batch validator.  A window batch (many
-alphas, see `CandidateBatch`) is validated in one call and counted as
-the per-alpha batches it holds, so `batches`, `max_batch_pairs` and
-`progress` read the same for every engine; `validate_calls` counts the
-calls.  Tiny instances skip the table machinery entirely and go straight
-to the brute-force oracle.  Enumeration is inherently serial; validation
-can run on worker threads behind a bounded batch buffer, which
-interleaves collection and checking the way an offloaded validator
-would.
+batches from the sumset enumerator into the batch validator.  A window
+batch (many alphas, see `CandidateBatch`) is validated in one call and
+counted as the per-alpha batches it holds, so `batches`,
+`max_batch_pairs` and `progress` read as they would for the heap's
+per-alpha stream; `validate_calls` counts the calls.  Tiny instances
+skip the table machinery entirely and go straight to the brute-force
+oracle.  Enumeration is inherently serial; validation can run on worker
+threads behind a bounded batch buffer, which interleaves collection and
+checking the way an offloaded validator would.
 
 First-solution mode stops as soon as one verified solution exists
 (cancellation is cooperative at chunk-pair granularity).  It returns the
@@ -122,8 +121,6 @@ class SolveStats:
     max_batch_pairs: int = 0
     peak_table_entries: int = 0
     peak_window_pairs: int = 0
-    peak_heap1: int = 0
-    peak_heap2: int = 0
     progress: float = 0.0
     t_build: float = 0.0
     t_enumerate: float = 0.0
@@ -143,8 +140,6 @@ class SolveStats:
             "max_batch_pairs": self.max_batch_pairs,
             "peak_table_entries": self.peak_table_entries,
             "peak_window_pairs": self.peak_window_pairs,
-            "peak_heap1": self.peak_heap1,
-            "peak_heap2": self.peak_heap2,
             "progress": round(self.progress, 6),
             "t_build": round(self.t_build, 6),
             "t_enumerate": round(self.t_enumerate, 6),
@@ -185,32 +180,10 @@ def _resolve_workers(count: int) -> int:
     return max(1, (os.cpu_count() or 1) - 1)
 
 
-def _jit_available() -> bool:
-    try:
-        from . import fastenum
-
-        return fastenum.available()
-    except Exception:
-        return False
-
-
-def _make_enumerator(tables, target: int, engine: str | None):
-    if engine in (None, "auto"):
-        engine = "jit" if _jit_available() else "python"
-    if engine == "jit":
-        from . import fastenum
-
-        return fastenum.JitPairSumEnumerator(tables, target)
-    if engine == "python":
-        return SumsetEnumerator(tables, target)
-    raise ValueError(f"unknown enumerator engine {engine!r}")
-
-
 def solve(
     inst: MspInstance,
     cfg: SolverConfig | None = None,
     time_limit: float | None = None,
-    engine: str | None = None,
 ) -> SolveResult:
     """Solve an instance under the given configuration.
 
@@ -257,8 +230,8 @@ def solve(
     d_perm = permuted_rhs(work, tables)
     target = int(work.d[0])
     chunk = cfg.chunk_pairs or default_chunk_pairs(work.m, cfg.memory_budget_bytes)
-    enumerator = _make_enumerator(tables, target, engine)
-    stats.engine = enumerator.engine_name
+    enumerator = SumsetEnumerator(tables, target)
+    stats.engine = "python"
     workers = _resolve_workers(cfg.worker_count)
 
     try:
@@ -291,12 +264,9 @@ def solve(
 
 
 def _enumerator_stats(stats: SolveStats, enumerator, finished: bool) -> None:
-    """Space peaks of whichever engine ran (0 for structures it lacks),
-    and progress 1.0 once the sweep is exhausted and every batch was
-    validated (`finished`)."""
-    stats.peak_heap1 = getattr(enumerator, "peak_h1", 0)
-    stats.peak_heap2 = getattr(enumerator, "peak_h2", 0)
-    stats.peak_window_pairs = getattr(enumerator, "peak_window_pairs", 0)
+    """The sweep's window peak, and progress 1.0 once the sweep is
+    exhausted and every batch was validated (`finished`)."""
+    stats.peak_window_pairs = enumerator.peak_window_pairs
     if finished and enumerator.exhausted:
         stats.progress = 1.0
 

@@ -49,18 +49,6 @@ def small_instances(
     return MspInstance(rows, d)
 
 
-def available_engines() -> list[str]:
-    engines = ["python"]
-    try:
-        from marketsplit import fastenum
-
-        if fastenum.available():
-            engines.append("jit")
-    except Exception:
-        pass
-    return engines
-
-
 def batch_vectors(tables, batch) -> set[tuple[int, ...]]:
     """Characteristic vectors of every left x right combination of equal
     alpha in a batch."""
@@ -76,7 +64,7 @@ def batch_vectors(tables, batch) -> set[tuple[int, ...]]:
 
 def drain_all_batches(enumerator):
     """Every batch an enumerator emits, window batches split per alpha, so
-    the list compares alpha by alpha between engines."""
+    the list compares alpha by alpha between enumerators."""
     batches = []
     while (batch := enumerator.next_batch()) is not None:
         batches.extend(batch.per_alpha())

@@ -34,17 +34,7 @@ from marketsplit.oracle import brute_force_all, two_list_all
 from marketsplit.solver import SolverConfig, solve
 from marketsplit.validate import ParallelBackend, SerialBackend
 
-from conftest import available_engines, drain_all_batches, seeded_instance
-
-ENGINES = available_engines()
-
-
-def _heap_enumerator(engine, tables, target):
-    if engine == "jit":
-        from marketsplit.fastenum import JitPairSumEnumerator
-
-        return JitPairSumEnumerator(tables, target)
-    return PairSumEnumerator(tables, target)
+from conftest import drain_all_batches, seeded_instance
 
 
 def _report(num: int, name: str, detail: str) -> None:
@@ -142,10 +132,11 @@ def test_criterion_3_two_list_cross_check():
         }
         assert expected == set(brute_force_all(inst)), i
         tables = build_quarter_tables(inst)
-        enumerators = {"sumset": SumsetEnumerator(tables, target)}
-        for engine in ENGINES:
-            enumerators[f"{engine} heap"] = _heap_enumerator(engine, tables, target)
-        for engine, enum in enumerators.items():
+        enumerators = {
+            "sumset": SumsetEnumerator(tables, target),
+            "heap": PairSumEnumerator(tables, target),
+        }
+        for name, enum in enumerators.items():
             emitted = set()
             for batch in drain_all_batches(enum):
                 for a_idx, b_idx in batch.left_pairs:
@@ -153,12 +144,12 @@ def test_criterion_3_two_list_cross_check():
                         emitted.add(
                             assemble_solution(tables, a_idx, b_idx, c_idx, d_idx)
                         )
-            assert emitted == expected, (i, engine)
+            assert emitted == expected, (i, name)
         checked += 1
     _report(
         3,
         "two-list/quad-heap cross-check",
-        f"{checked} single-row instances, sumset and heap engines {ENGINES}, exact",
+        f"{checked} single-row instances, sumset sweep and heap, exact",
     )
 
 
@@ -241,23 +232,22 @@ def test_criterion_7_space_bounds():
     assert inst.n == 40
     tables = build_quarter_tables(inst)
     assert sum(t.size for t in tables) == 4 * 2**10
-    for engine in ENGINES:  # the heaps, drained over the same tables
-        enum = _heap_enumerator(engine, tables, int(inst.d[0]))
-        drain_all_batches(enum)
-        assert enum.peak_h1 == 2**10 and enum.peak_h2 == 2**10, engine
+    heap = PairSumEnumerator(tables, int(inst.d[0]))
+    drain_all_batches(heap)  # the heap, drained over the same tables
+    assert heap.peak_h1 == 2**10 and heap.peak_h2 == 2**10
     # After merging three rows the first-row weights are all distinct, so
     # |uA| * |uB| = 2^20 and only the window cut keeps the sweep in bounds.
     ta, tb = build_quarter_tables(surrogate_reduce(inst, 3))[:2]
     assert len(np.unique(ta.weights)) * len(np.unique(tb.weights)) == 2**20
     for reduce_rows in (1, 3):
         cfg = SolverConfig(mode="first", reduce_rows=reduce_rows)
-        s = solve(inst, cfg, engine="python").stats
+        s = solve(inst, cfg).stats
         assert s.peak_table_entries == 4 * 2**10, reduce_rows
         assert 0 < s.peak_window_pairs <= 4 * 2**10, reduce_rows
     _report(
         7,
         "space bounds at n=40",
-        f"table entries 4*2^10, heap peaks exactly 2^10 (engines {ENGINES}), "
+        "table entries 4*2^10, heap peaks exactly 2^10, "
         "sumset windows <= 4*2^10 pairs per side, also with reduce_rows=3",
     )
 

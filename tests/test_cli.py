@@ -63,8 +63,14 @@ class TestSolveCommand:
         assert record["verdict"] == "feasible"
         assert record["solutions"] == 2
         assert record["instance"] == example_path
-        assert "seconds" in record and "batches" in record
-        assert "validate_calls" in record
+        # the exact schema: removing or adding a key is a deliberate act
+        assert set(record) == {
+            "instance", "verdict", "seconds", "solutions",
+            "batches", "validate_calls", "candidates_left", "candidates_right",
+            "hash_hits", "exact_hits", "max_batch_pairs", "peak_table_entries",
+            "peak_window_pairs", "progress", "t_build", "t_enumerate",
+            "t_validate", "t_total", "fallback", "engine",
+        }
 
     def test_solver_flags_accepted(self, example_path):
         assert (

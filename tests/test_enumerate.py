@@ -24,17 +24,7 @@ from marketsplit.instances import (
 )
 from marketsplit.oracle import two_list_all
 
-from conftest import available_engines, batch_vectors, drain_all_batches, seeded_instance
-
-ENGINES = available_engines()
-
-
-def make_enumerator(engine, tables, target):
-    if engine == "jit":
-        from marketsplit.fastenum import JitPairSumEnumerator
-
-        return JitPairSumEnumerator(tables, target)
-    return PairSumEnumerator(tables, target)
+from conftest import batch_vectors, drain_all_batches, seeded_instance
 
 
 class TestTables:
@@ -153,50 +143,49 @@ class TestRunExtract:
         assert run_extract(tc, 3) == 4
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestEnumerator:
-    def test_seeding(self, engine):
+    def test_seeding(self):
         inst = seeded_instance(7, m=1, n=12, k=10)
         tables = build_quarter_tables(inst)
-        enum = make_enumerator(engine, tables, int(inst.d[0]))
+        enum = PairSumEnumerator(tables, int(inst.d[0]))
         assert enum.peak_h1 == tables[1].size
         assert enum.peak_h2 == tables[3].size
         alpha, beta = enum.heap_tops()
         assert alpha == 0  # empty set + empty set
         assert beta == int(tables[2].weights[0]) + int(tables[3].weights.max())
 
-    def test_four_element_worked_example(self, engine):
+    def test_four_element_worked_example(self):
         inst = MspInstance([[1, 2, 3, 4]], [5])
         tables = build_quarter_tables(inst)
-        enum = make_enumerator(engine, tables, 5)
+        enum = PairSumEnumerator(tables, 5)
         seen = set()
         for batch in drain_all_batches(enum):
             assert batch.alpha + batch.beta == 5
             seen |= batch_vectors(tables, batch)
         assert seen == {(1, 0, 0, 1), (0, 1, 1, 0)}
 
-    def test_zero_target_single_pair(self, engine):
+    def test_zero_target_single_pair(self):
         inst = MspInstance([[1, 2, 3, 4]], [0])
         tables = build_quarter_tables(inst)
-        enum = make_enumerator(engine, tables, 0)
+        enum = PairSumEnumerator(tables, 0)
         batch = enum.next_batch()
         assert batch.n_left == 1 and batch.n_right == 1
         assert batch_vectors(tables, batch) == {(0, 0, 0, 0)}
         assert enum.next_batch() is None
 
-    def test_parity_exhaustion(self, engine):
+    def test_parity_exhaustion(self):
         inst = MspInstance([[2, 2, 2, 2]], [3])
-        enum = make_enumerator(engine, build_quarter_tables(inst), 3)
+        enum = PairSumEnumerator(build_quarter_tables(inst), 3)
         assert enum.next_batch() is None
         assert enum.exhausted
 
-    def test_completeness_and_uniqueness(self, engine):
+    def test_completeness_and_uniqueness(self):
         for seed in range(40):
             n = 4 + seed % 13  # up to 16
             inst = seeded_instance(seed, m=1, n=n, k=9)
             target = int(inst.d[0])
             tables = build_quarter_tables(inst)
-            enum = make_enumerator(engine, tables, target)
+            enum = PairSumEnumerator(tables, target)
             emitted: list[tuple] = []
             for batch in drain_all_batches(enum):
                 for a_idx, b_idx in batch.left_pairs:
@@ -212,10 +201,10 @@ class TestEnumerator:
             }
             assert set(emitted) == expected, seed
 
-    def test_monotone_drain(self, engine):
+    def test_monotone_drain(self):
         inst = seeded_instance(11, m=1, n=14, k=8)
         tables = build_quarter_tables(inst)
-        enum = make_enumerator(engine, tables, int(inst.d[0]))
+        enum = PairSumEnumerator(tables, int(inst.d[0]))
         while True:
             batch = enum.next_batch()
             if batch is None:
@@ -226,12 +215,12 @@ class TestEnumerator:
             if beta is not None:
                 assert beta < batch.beta
 
-    def test_batch_weight_identity(self, engine):
+    def test_batch_weight_identity(self):
         inst = seeded_instance(12, m=2, n=13, k=9)
         tables = build_quarter_tables(inst)
         ta, tb, tc, td = tables
         target = int(inst.d[0])
-        enum = make_enumerator(engine, tables, target)
+        enum = PairSumEnumerator(tables, target)
         for batch in drain_all_batches(enum):
             assert batch.alpha + batch.beta == target
             assert all(
@@ -248,17 +237,17 @@ class TestEnumerator:
                 len({(int(k), int(l)) for k, l in batch.right_pairs}) == batch.n_right
             )
 
-    def test_heap_size_bounds(self, engine):
+    def test_heap_size_bounds(self):
         inst = seeded_instance(13, m=1, n=15, k=10)
         tables = build_quarter_tables(inst)
-        enum = make_enumerator(engine, tables, int(inst.d[0]))
+        enum = PairSumEnumerator(tables, int(inst.d[0]))
         drain_all_batches(enum)
         assert enum.peak_h1 <= tables[1].size
         assert enum.peak_h2 <= tables[3].size
 
 
 class TestPythonHeapDetails:
-    """Reference-engine internals not exposed by the compiled twin."""
+    """Heap internals that only the reference enumerator has."""
 
     def test_one_entry_per_partner(self):
         inst = seeded_instance(14, m=1, n=12, k=7)
@@ -274,30 +263,6 @@ class TestPythonHeapDetails:
                 )
             if enum.next_batch() is None:
                 break
-
-
-@pytest.mark.skipif(len(ENGINES) < 2, reason="compiled engine unavailable")
-class TestEngineEquality:
-    def test_identical_batch_streams(self):
-        for seed in range(25):
-            inst = seeded_instance(seed, m=2, n=4 + seed % 11, k=11)
-            target = int(inst.d[0])
-            tables = build_quarter_tables(inst)
-            streams = []
-            for engine in ENGINES:
-                enum = make_enumerator(engine, tables, target)
-                streams.append(
-                    [
-                        (
-                            b.alpha,
-                            b.beta,
-                            b.left_pairs[:].tolist(),
-                            b.right_pairs[:].tolist(),
-                        )
-                        for b in drain_all_batches(enum)
-                    ]
-                )
-            assert streams[0] == streams[1], seed
 
 
 def _expand_reference(fields) -> list[list[int]]:

@@ -519,9 +519,7 @@ class TestMassiveMultiplicity:
         from marketsplit.solver import SolverConfig, solve
 
         for backend in ("parallel", "serial"):
-            result = solve(
-                inst, SolverConfig(mode="all", backend=backend), engine="python"
-            )
+            result = solve(inst, SolverConfig(mode="all", backend=backend))
             assert len(result.solutions) == 2**n
             result_sets.append(result.solutions)
         assert result_sets[0] == result_sets[1]
