@@ -15,7 +15,8 @@ Within a batch, left pairs are listed by B index, then A index; right
 pairs by D index, then C index.  Equal weights form contiguous runs in
 every table, so each side of a batch is a list of (fixed run x inner
 run) blocks -- a B run with an A run, or a D run with a C run -- held as
-`RunBlocks` and expanded to index pairs only a slice at a time.
+`RunBlocks`.  The validator hashes the blocks directly, and anything
+else expands them to index pairs only a slice at a time.
 
 `SumsetEnumerator` is the one enumerator `solve()` runs.  It sweeps
 alpha in windows over the distinct-weight sumsets uA + uB and
@@ -23,12 +24,13 @@ d_1 - (uC + uD): per window, a vectorized `searchsorted` lists the
 distinct-weight pairs whose sums fall in it, and their common values are
 the window's alphas.  Windows are cut so neither side holds more than
 4 * 2^(n/4) distinct-weight pairs; a single alpha never needs more than
-min(|uA|, |uB|), so the cut always exists.  A window whose expanded
-index pairs fit the same bound leaves as one window batch: both sides as
-arrays, with the sorted alphas and each alpha's left and right edges, so
-the validator checks the whole window in one join.  Any other window
-leaves as one `RunBlocks` batch per alpha.  Split per alpha
-(`CandidateBatch.per_alpha`), both enumerators give the same stream.
+min(|uA|, |uB|), so the cut always exists.  A window whose index pairs
+fit the same bound leaves as one window batch: both sides as the
+window's `RunBlocks`, with the sorted alphas and each alpha's left and
+right pair edges (block boundaries), so the validator checks the whole
+window in one join.  Any other window leaves as one `RunBlocks` batch
+per alpha.  Split per alpha (`CandidateBatch.per_alpha`), both
+enumerators give the same stream.
 
 `PairSumEnumerator` is the paper's heap formulation, kept as the
 reference the sumset sweep is tested against.  H1 is a min-heap holding
@@ -220,11 +222,14 @@ class RunBlocks:
     """One side of a batch as (fixed run x inner run) blocks.
 
     Block b stands for the index pairs (inner_start[b] + s,
-    fixed_start[b] + t) with s < inner_len[b] and t < fixed_len[b],
-    listed t-major; the blocks follow each other in array order.
-    `len()` counts pairs, and `[lo:hi]` expands just that range to a
-    (hi - lo, 2) int64 array, so a consumer working in chunks never holds
-    the whole side.
+    fixed_start[b] + t) with s < inner_len[b] and t < fixed_len[b] (both
+    lengths >= 1), listed t-major: `fixed_len[b]` rows, each one fixed
+    index with a contiguous run of inner indices.  The blocks follow each
+    other in array order.  `len()` counts pairs, and `[lo:hi]` expands
+    just that range to a (hi - lo, 2) int64 array, so a consumer working
+    in chunks never holds the whole side; `sums` evaluates a per-pair sum
+    over a range without building the pairs, and `pairs_at` builds the
+    pairs at given positions only.
     """
 
     __slots__ = ("inner_start", "inner_len", "fixed_start", "fixed_len", "_ends")
@@ -236,6 +241,13 @@ class RunBlocks:
         self.fixed_len = fixed_len
         self._ends = np.cumsum(inner_len * fixed_len)
 
+    @classmethod
+    def from_pairs(cls, pairs) -> "RunBlocks":
+        """A (k, 2) index-pair array as k one-pair blocks."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        ones = np.ones(len(pairs), dtype=np.int64)
+        return cls(pairs[:, 0].copy(), ones, pairs[:, 1].copy(), ones)
+
     def __len__(self) -> int:
         return int(self._ends[-1]) if len(self._ends) else 0
 
@@ -245,57 +257,134 @@ class RunBlocks:
         lo, hi, _ = key.indices(len(self))
         if hi <= lo:
             return np.empty((0, 2), dtype=np.int64)
-        ends = self._ends
-        b0 = int(ends.searchsorted(lo, side="right"))
-        b1 = int(ends.searchsorted(hi - 1, side="right")) + 1
-        # rows of the touched blocks: one fixed index each, with its run
-        # of inner indices; then clip the first and last row to [lo, hi)
-        rows = self.fixed_len[b0:b1]
-        lens = self.inner_len[b0:b1].repeat(rows)
-        first_row = rows.cumsum() - rows
-        fixed = self.fixed_start[b0:b1].repeat(rows) + (
-            np.arange(len(lens)) - first_row.repeat(rows)
-        )
-        inner = self.inner_start[b0:b1].repeat(rows)
-        row_end = lens.cumsum() + (int(ends[b0]) - int(rows[0] * lens[0]))
-        r0 = int(row_end.searchsorted(lo, side="right"))
-        r1 = int(row_end.searchsorted(hi - 1, side="right")) + 1
-        lens, inner, fixed = lens[r0:r1], inner[r0:r1], fixed[r0:r1]
-        skip = lo - (int(row_end[r0]) - int(lens[0]))
-        inner[0] += skip
-        lens[0] -= skip
-        lens[-1] -= int(row_end[r1 - 1]) - hi
+        inner, lens, fixed = self.rows(lo, hi)
         out = np.empty((hi - lo, 2), dtype=np.int64)
-        out[:, 0] = (inner - (lens.cumsum() - lens)).repeat(lens) + np.arange(hi - lo)
+        out[:, 0] = _row_positions(inner, lens, hi - lo)
         out[:, 1] = fixed.repeat(lens)
         return out
 
     def __iter__(self):
         return iter(self[:])
 
+    def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(first inner index, length, fixed index) of each row holding
+        pairs lo..hi-1 (lo < hi), the first and last row clipped to them."""
+        ends = self._ends
+        whole = lo == 0 and hi == int(ends[-1])
+        if whole:
+            b0, b1 = 0, len(ends)
+        else:
+            b0 = int(ends.searchsorted(lo, side="right"))
+            b1 = int(ends.searchsorted(hi - 1, side="right")) + 1
+        k = self.fixed_len[b0:b1]
+        inner, lens = self.inner_start[b0:b1], self.inner_len[b0:b1]
+        fixed = self.fixed_start[b0:b1]
+        n_rows = int(k.sum())
+        if n_rows != len(k):  # some block has several rows
+            first_row = k.cumsum() - k
+            fixed = fixed.repeat(k) + (np.arange(n_rows) - first_row.repeat(k))
+            inner, lens = inner.repeat(k), lens.repeat(k)
+        if whole:
+            return inner, lens, fixed
+        # before lo: t0 whole rows and c0 pairs of the first block; after
+        # hi: t1 whole rows and c1 pairs of the last block
+        first_len, last_len = int(lens[0]), int(lens[-1])
+        t0, c0 = divmod(lo - (int(ends[b0]) - int(k[0]) * first_len), first_len)
+        t1, c1 = divmod(int(ends[b1 - 1]) - hi, last_len)
+        r1 = n_rows - t1
+        inner, lens, fixed = inner[t0:r1].copy(), lens[t0:r1].copy(), fixed[t0:r1]
+        inner[0] += c0
+        lens[0] -= c0
+        lens[-1] -= c1
+        return inner, lens, fixed
+
+    def sums(
+        self, inner_values: np.ndarray, fixed_values: np.ndarray, lo: int, hi: int
+    ) -> np.ndarray:
+        """inner_values[i] + fixed_values[f] for each pair (i, f) of lo..hi-1.
+
+        Row by row: the row's fixed value, repeated, plus the inner values
+        of its contiguous index run; the pairs are never built.
+        """
+        if hi <= lo:
+            return np.empty(0, dtype=inner_values.dtype)
+        inner, lens, fixed = self.rows(lo, hi)
+        if len(lens) == hi - lo:  # one pair per row
+            out = inner_values[inner]
+            out += fixed_values[fixed]
+            return out
+        out = inner_values[_row_positions(inner, lens, hi - lo)]
+        out += fixed_values[fixed].repeat(lens)
+        return out
+
+    def pairs_at(self, pos: np.ndarray) -> np.ndarray:
+        """The (k, 2) index pairs at flat positions `pos` (ints in [0, len))."""
+        ends = self._ends
+        b = ends.searchsorted(pos, side="right")
+        lens = self.inner_len[b]
+        t, s = np.divmod(pos - (ends[b] - lens * self.fixed_len[b]), lens)
+        out = np.empty((len(pos), 2), dtype=np.int64)
+        out[:, 0] = self.inner_start[b] + s
+        out[:, 1] = self.fixed_start[b] + t
+        return out
+
+    def block_edges(self, edges: np.ndarray) -> np.ndarray | None:
+        """Block index at each pair offset in `edges` (an int64 array), or
+        None if an offset falls inside a block."""
+        ends = self._ends
+        if len(ends) == len(self):  # one pair per block
+            return edges
+        starts = np.concatenate(([0], ends))
+        at = np.minimum(starts.searchsorted(edges), len(ends))
+        return at if (starts[at] == edges).all() else None
+
+    def sub(self, b0: int, b1: int) -> "RunBlocks":
+        """Blocks b0..b1-1 as their own side."""
+        return RunBlocks(
+            self.inner_start[b0:b1],
+            self.inner_len[b0:b1],
+            self.fixed_start[b0:b1],
+            self.fixed_len[b0:b1],
+        )
+
+
+def _row_positions(inner: np.ndarray, lens: np.ndarray, total: int) -> np.ndarray:
+    """Inner index of each pair of rows (first inner index, length)."""
+    pos = (inner - (lens.cumsum() - lens)).repeat(lens)
+    pos += np.arange(total)
+    return pos
+
 
 @dataclass(frozen=True)
 class CandidateBatch:
     """All left pairs of weight alpha and right pairs of weight beta.
 
-    `left_pairs[:, 0]` indexes table A, `left_pairs[:, 1]` table B;
-    `right_pairs` likewise over C and D.  alpha + beta equals the
-    enumeration target.  A side is a (k, 2) int64 array or `RunBlocks`;
-    either way, `left_pairs[lo:hi]` is an array.
+    `left_pairs` holds index pairs into tables A and B (`[:, 0]` of an
+    expansion indexes A), `right_pairs` likewise into C and D.  alpha +
+    beta equals the enumeration target.  Both sides are `RunBlocks`; a
+    (k, 2) int64 array given for a side is stored as k one-pair blocks.
+    Either way, `left_pairs[lo:hi]` is an array.
 
     A window batch (`alphas` given) holds several alphas, ascending: the
     pairs of `alphas[i]` are `left_pairs[left_edges[i]:left_edges[i+1]]`
-    and likewise on the right, each alpha with pairs on both sides;
-    `alpha` and `beta` are those of `alphas[0]`.
+    and likewise on the right, each alpha with pairs on both sides, and
+    every edge on a block boundary; `alpha` and `beta` are those of
+    `alphas[0]`.
     """
 
     alpha: int
     beta: int
-    left_pairs: np.ndarray | RunBlocks
-    right_pairs: np.ndarray | RunBlocks
+    left_pairs: RunBlocks
+    right_pairs: RunBlocks
     alphas: np.ndarray | None = None
     left_edges: np.ndarray | None = None
     right_edges: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("left_pairs", "right_pairs"):
+            side = getattr(self, name)
+            if not isinstance(side, RunBlocks):
+                object.__setattr__(self, name, RunBlocks.from_pairs(side))
 
     @property
     def n_left(self) -> int:
@@ -313,18 +402,20 @@ class CandidateBatch:
         return self.alphas.tolist(), self.left_edges.tolist(), self.right_edges.tolist()
 
     def per_alpha(self) -> list["CandidateBatch"]:
-        """The batch as one single-alpha batch per alpha (array views)."""
+        """The batch as one single-alpha batch per alpha."""
         if self.alphas is None:
             return [self]
         target = self.alpha + self.beta
-        alphas, l_at, r_at = self.spans()
+        left, right = self.left_pairs, self.right_pairs
+        l_at = left.block_edges(self.left_edges).tolist()
+        r_at = right.block_edges(self.right_edges).tolist()
         return [
             CandidateBatch(
                 alpha, target - alpha,
-                self.left_pairs[l_at[i] : l_at[i + 1]],
-                self.right_pairs[r_at[i] : r_at[i + 1]],
+                left.sub(l_at[i], l_at[i + 1]),
+                right.sub(r_at[i], r_at[i + 1]),
             )
-            for i, alpha in enumerate(alphas)
+            for i, alpha in enumerate(self.alphas.tolist())
         ]
 
 
@@ -537,9 +628,9 @@ class SumsetEnumerator:
     d_1 - lo.  `window_pairs` caps the distinct-weight pairs either side
     holds per window (default: the total table size, the four-table
     space bound); `peak_window_pairs` is the most either side held.  A
-    window whose expanded pairs fit the same cap is expanded in one
-    vectorized pass and emitted as one window batch (`alphas` set);
-    otherwise each alpha is its own batch of `RunBlocks`.
+    window whose pairs fit the same cap is emitted whole, as one window
+    batch (`alphas` set); otherwise each alpha is its own batch.  Either
+    way the sides are the window's `RunBlocks`.
     """
 
     def __init__(
@@ -634,7 +725,7 @@ class SumsetEnumerator:
         if len(left) + len(right) <= self.window_pairs:
             alpha = int(common[0])
             emit(CandidateBatch(
-                alpha, target - alpha, left[:], right[:], common,
+                alpha, target - alpha, left, right, common,
                 np.r_[0, left._ends][l_edges], np.r_[0, right._ends][r_edges],
             ))
             return
@@ -642,18 +733,9 @@ class SumsetEnumerator:
         for i, alpha in enumerate(common.tolist()):
             emit(CandidateBatch(
                 alpha, target - alpha,
-                _sub_blocks(left, l_at[i], l_at[i + 1]),
-                _sub_blocks(right, r_at[i], r_at[i + 1]),
+                left.sub(l_at[i], l_at[i + 1]),
+                right.sub(r_at[i], r_at[i + 1]),
             ))
-
-
-def _sub_blocks(blocks: RunBlocks, b0: int, b1: int) -> RunBlocks:
-    return RunBlocks(
-        blocks.inner_start[b0:b1],
-        blocks.inner_len[b0:b1],
-        blocks.fixed_start[b0:b1],
-        blocks.fixed_len[b0:b1],
-    )
 
 
 def assemble_solution(

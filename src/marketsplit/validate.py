@@ -11,10 +11,22 @@ residuals are equal.
 Residuals are hashed with the linear hash h(v) = sum_j r_j v_j mod 2^64
 (`encode_vector`).  Linearity means the residual vectors are never
 built: every table entry carries its hash, a left pair hashes to
-HA[a] + HB[b] and a right pair to h(d) - HC[c] - HD[d'], two 1-D
-gathers per side.  A right pair that overshoots d in some coordinate
-wraps below zero; it simply hashes as that wrapped vector, which no
-left residual can equal, so no filtering pass is needed.
+HA[a] + HB[b] and a right pair to h(d) - HC[c] - HD[d'].  Nor are the
+index pairs: a batch side is a list of run blocks (`RunBlocks`), each
+row of which is one fixed entry (B or D) with a contiguous run of inner
+entries (A or C).  A row's pair hashes are an outer sum, the fixed
+entry's hash repeated plus a contiguous slice of the inner table's
+hashes, so a chunk is hashed row by row straight from the blocks, and
+only hash hits are mapped back to index pairs.  A right pair that
+overshoots d in some coordinate wraps below zero; it simply hashes as
+that wrapped vector, which no left residual can equal, so no filtering
+pass is needed.
+
+Coordinate 0 of every residual must equal the pair's alpha.  It is
+checked once per block, not per pair: the block's inner and fixed runs
+must each lie inside one equal-weight run of their table, so all its
+pairs share the weight of its first pair, and that weight (left) or d_1
+minus it (right) must be the block's alpha.
 
 `join_hashes` finds the equal-hash pairs.  It marks the low `bits` of
 the smaller side's hashes in a byte bitmap, keeps the larger side's
@@ -37,8 +49,10 @@ A window batch carries the candidates of many alphas (see
 `CandidateBatch`) and is validated by the same joins as one batch: the
 hash covers coordinate 0, which is alpha on both sides, so pairs of
 different alphas can only collide, and the exact confirmation rejects
-any such hit.  One call then pays the fixed cost of hashing and joining
-once for the whole window instead of once per alpha.
+any such hit.  Each alpha's pair edges must fall on block boundaries,
+so the per-block check sees every pair with its own alpha.  One call
+then pays the fixed cost of hashing and joining once for the whole
+window instead of once per alpha.
 """
 
 from __future__ import annotations
@@ -52,6 +66,7 @@ import numpy as np
 from .enumerate1d import (
     CandidateBatch,
     QuarterTable,
+    RunBlocks,
     assemble_solution,
     encode_batch,
     encode_vector,
@@ -209,15 +224,18 @@ def join_hashes(
 
 
 class _Backend:
-    """What both backends share, given their `encode` and `join`:
-    hashing of built residuals and `find_matches` over residual sets."""
+    """What both backends share, given their `encode` and `join`: pair
+    hashes of a side's range from residuals built out of `side[lo:hi]`,
+    and `find_matches` over residual sets."""
 
-    def left_hashes(self, tables, pairs: np.ndarray) -> np.ndarray:
-        return self.encode(_left_vectors(pairs, tables)).hashes
+    def left_hashes(self, tables, side: RunBlocks, lo: int, hi: int) -> np.ndarray:
+        return self.encode(_left_vectors(side[lo:hi], tables)).hashes
 
-    def right_hashes(self, tables, pairs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def right_hashes(
+        self, tables, side: RunBlocks, lo: int, hi: int, d: np.ndarray
+    ) -> np.ndarray:
         # uint64 wrap-around is intended: h(v mod 2^64) == h(v) mod 2^64
-        return self.encode(d - _right_sums(pairs, tables)).hashes
+        return self.encode(d - _right_sums(side[lo:hi], tables)).hashes
 
     def find_matches(
         self, left: ResidualSet, right: ResidualSet
@@ -275,10 +293,11 @@ class SerialBackend(_Backend):
 class ParallelBackend(_Backend):
     """Production implementation: numpy-vectorized hashing and join.
 
-    Pair hashes come from the tables' precomputed hash columns.  An
-    `encode_fn` override (tests use constant hashes to force
-    collisions) hashes built residual vectors instead; the join and the
-    exact confirmation are the same either way.
+    Pair hashes are summed straight from the run blocks and the tables'
+    precomputed hash columns (`RunBlocks.sums`).  An `encode_fn` override
+    (tests use constant hashes to force collisions) hashes built residual
+    vectors instead; the join and the exact confirmation are the same
+    either way.
     """
 
     name = "parallel"
@@ -292,20 +311,21 @@ class ParallelBackend(_Backend):
     def encode(self, vectors: np.ndarray) -> EncodedSet:
         return EncodedSet(hashes=(self._encode_many or encode_batch)(vectors))
 
-    def left_hashes(self, tables, pairs: np.ndarray) -> np.ndarray:
+    def left_hashes(self, tables, side: RunBlocks, lo: int, hi: int) -> np.ndarray:
         if self._encode_many is not None:
-            return super().left_hashes(tables, pairs)
-        return tables[0].hashes[pairs[:, 0]] + tables[1].hashes[pairs[:, 1]]
+            return super().left_hashes(tables, side, lo, hi)
+        return side.sums(tables[0].hashes, tables[1].hashes, lo, hi)
 
-    def right_hashes(self, tables, pairs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def right_hashes(
+        self, tables, side: RunBlocks, lo: int, hi: int, d: np.ndarray
+    ) -> np.ndarray:
         if self._encode_many is not None:
-            return super().right_hashes(tables, pairs, d)
+            return super().right_hashes(tables, side, lo, hi, d)
         key = d.tobytes()
         if key != self._rhs_key:
             self._rhs_key, self._rhs_hash = key, np.uint64(encode_vector(d.tolist()))
-        return (
-            self._rhs_hash - tables[2].hashes[pairs[:, 0]]
-        ) - tables[3].hashes[pairs[:, 1]]
+        sums = side.sums(tables[2].hashes, tables[3].hashes, lo, hi)
+        return np.subtract(self._rhs_hash, sums, out=sums)
 
     join = staticmethod(join_hashes)
 
@@ -391,17 +411,17 @@ def validate_chunked(
     """Match a batch in (left chunk, right chunk) pieces of <= chunk_pairs.
 
     The union over chunk pairs equals one unchunked match; partitioning
-    the pair product disjointly makes duplicates impossible.  Chunks are
-    sliced out of the batch only when validated, so a batch held as
-    `RunBlocks` is never expanded beyond one chunk per side.  When
-    `should_stop` fires the remaining chunk pairs are abandoned, and the
-    caller must treat the batch as unfinished.
+    the pair product disjointly makes duplicates impossible.  Each chunk
+    is hashed straight from the batch's run blocks; only hash hits become
+    index pairs, for the exact confirmation.  When `should_stop` fires
+    the remaining chunk pairs are abandoned, and the caller must treat
+    the batch as unfinished.
 
-    A window batch is joined as a whole (see the module docstring): each
-    pair's first coordinate is checked against its own alpha, and a left
-    chunk meets only the right chunks that hold one of its alphas.
-    Solutions come in chunk-pair order, (right, left) within a chunk
-    pair, so by ascending alpha.
+    Every block is checked against its alpha before any chunk is hashed
+    (see `_check_blocks`).  A window batch is joined as a whole (see the
+    module docstring): a left chunk meets only the right chunks that hold
+    one of its alphas.  Solutions come in chunk-pair order, (right, left)
+    within a chunk pair, so by ascending alpha.
     """
     if chunk_pairs < 1:
         raise ValueError(f"chunk_pairs must be >= 1, got {chunk_pairs}")
@@ -409,48 +429,44 @@ def validate_chunked(
     if d is None:
         d = permuted_rhs(inst, tables)
     d = np.ascontiguousarray(d, dtype=np.uint64)
-    ta, tb, tc, td = tables
+    left, right = batch.left_pairs, batch.right_pairs
 
-    alphas, l_at, r_at = batch.spans()
+    _, l_at, r_at = batch.spans()
     n_left, n_right = l_at[-1], r_at[-1]
+    if batch.alphas is None:
+        alpha, l_edges, r_edges = batch.alpha, None, None
+    else:
+        alpha, l_edges, r_edges = batch.alphas, batch.left_edges, batch.right_edges
+    _check_blocks(left, tables[0], tables[1], alpha, l_edges, "left")
+    _check_blocks(right, tables[2], tables[3], alpha, r_edges, "right", d[0])
     if stats is not None:
         stats.calls += 1
 
     solutions: list[SolutionVector] = []
-    right_checked = 0  # right pairs before this were asserted and counted
+    right_counted = 0  # right pairs before this were counted
     for ls in range(0, max(n_left, 1), chunk_pairs):
         l_end = min(ls + chunk_pairs, n_left)
-        left_chunk = batch.left_pairs[ls:l_end]
-        a_idx, b_idx = left_chunk[:, 0], left_chunk[:, 1]
-        _assert_alpha(
-            ta.weights[a_idx] + tb.weights[b_idx],
-            _pair_alphas(alphas, l_at, ls, l_end),
-            "left",
-        )
-        left_h = backend.left_hashes(tables, left_chunk)
+        left_h = backend.left_hashes(tables, left, ls, l_end)
         if stats is not None:
-            stats.candidates_left += len(left_chunk)
+            stats.candidates_left += l_end - ls
         # only the right chunks holding this chunk's alphas
         r_lo, r_hi = _partner_range(l_at, r_at, ls, l_end)
         for rs in range(r_lo - r_lo % chunk_pairs, r_hi, chunk_pairs):
             if should_stop is not None and should_stop():
                 return solutions
             r_end = min(rs + chunk_pairs, n_right)
-            right_chunk = batch.right_pairs[rs:r_end]
-            if rs >= right_checked:
-                c_idx, d_idx = right_chunk[:, 0], right_chunk[:, 1]
-                _assert_alpha(
-                    d[0] - (tc.weights[c_idx] + td.weights[d_idx]),
-                    _pair_alphas(alphas, r_at, rs, r_end),
-                    "right",
-                )
+            if rs >= right_counted:
                 if stats is not None:
-                    stats.candidates_right += len(right_chunk)
-                right_checked = r_end
-            li, ri = backend.join(left_h, backend.right_hashes(tables, right_chunk, d))
+                    stats.candidates_right += r_end - rs
+                right_counted = r_end
+            li, ri = backend.join(
+                left_h, backend.right_hashes(tables, right, rs, r_end, d)
+            )
             if not len(li):
                 continue
-            found = _confirm_exact(left_chunk[li], right_chunk[ri], tables, inst, d)
+            found = _confirm_exact(
+                left.pairs_at(li + ls), right.pairs_at(ri + rs), tables, inst, d
+            )
             if stats is not None:
                 stats.hash_hits += len(li)
                 stats.exact_hits += len(found)
@@ -458,16 +474,35 @@ def validate_chunked(
     return solutions
 
 
-def _pair_alphas(alphas: list[int], edges: list[int], lo: int, hi: int):
-    """The alpha of each pair lo..hi-1 of a side whose alpha i owns pairs
-    edges[i]..edges[i+1]-1; a scalar when one alpha owns them all."""
-    if len(alphas) == 1:
-        return alphas[0]
-    a0, a1 = bisect_right(edges, lo) - 1, bisect_left(edges, hi)
-    if a1 - a0 == 1:
-        return alphas[a0]
-    owned = np.diff(np.clip(edges[a0 : a1 + 1], lo, hi))
-    return np.array(alphas[a0:a1], dtype=np.uint64).repeat(owned)
+def _check_blocks(
+    side: RunBlocks,
+    t_in: QuarterTable,
+    t_fx: QuarterTable,
+    alpha,
+    edges: np.ndarray | None,
+    name: str,
+    d0=None,
+) -> None:
+    """Assert, once per block, that every pair of `side` has its alpha
+    (see the module docstring).  `alpha` is one alpha, or a window's
+    alphas with their pair `edges`, which must fall on block boundaries.
+    """
+    s0, f0 = side.inner_start, side.fixed_start
+    if not (
+        (s0 + side.inner_len <= t_in.run_end[s0]).all()
+        and (f0 + side.fixed_len <= t_fx.run_end[f0]).all()
+    ):
+        raise AssertionError(f"{name} run block crosses an equal-weight run")
+    if edges is not None:
+        at = side.block_edges(edges)
+        if at is None:
+            raise AssertionError(f"{name} window edge falls inside a run block")
+        alpha = alpha.repeat(at[1:] - at[:-1])
+    weight = t_in.weights[s0] + t_fx.weights[f0]
+    if d0 is not None:
+        weight = d0 - weight
+    if not (weight == alpha).all():
+        raise AssertionError(f"{name} run block weight disagrees with its alpha")
 
 
 def _partner_range(
@@ -482,6 +517,19 @@ def _partner_range(
 
 
 def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> int:
-    """Largest chunk size whose residuals, hashes, and indices fit the budget."""
-    per_pair = 2 * (8 * m + 32)
-    return max(1, budget_bytes // per_pair)
+    """Largest chunk size whose chunk pair fits the budget.
+
+    Per pair of a chunk, each side holds an 8-byte hash and, in the join,
+    an 8-byte bitmap slot; the bitmap adds at most 16 bytes per pair of
+    the smaller side (eight slots per marked hash, rounded up to a power
+    of two), and the larger side's filter mask and survivor indices at
+    most 9 per pair.  That is at most 2 * 16 + 16 + 9 = 57 bytes, charged
+    as 64.  Hashing a side from its blocks briefly needs 16 more bytes
+    per pair beside the hashes, which is less.  Not charged: the
+    per-block checks, smaller than the batch's own blocks, and the hash
+    hits, whose number the solutions and collisions set.  No m-vector is
+    built per pair, so `m` does not enter; the reference paths that do
+    build them (`SerialBackend`, an `encode_fn` override) are not sized
+    by this budget.
+    """
+    return max(1, budget_bytes // 64)

@@ -311,6 +311,45 @@ class TestRunBlocks:
             pieces = [rb[i : i + size] for i in range(0, len(full), size)]
             assert sum((p.tolist() for p in pieces), []) == full
 
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.integers(0, 40), st.integers(1, 5),
+                st.integers(0, 40), st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_positions_sums_and_edges_match_expansion(self, blocks, data):
+        rb = RunBlocks(*_run_blocks(blocks))
+        full = rb[:]
+        n = len(full)
+        # flat positions back to pairs
+        pos = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.int64)
+        got = rb.pairs_at(pos)
+        assert got.dtype == np.int64 and got.shape == (len(pos), 2)
+        assert got.tolist() == full[pos].tolist()
+        # per-pair sums of a range, without expanding it
+        rng = np.random.default_rng(n)
+        inner_v = rng.integers(0, 2**64, size=50, dtype=np.uint64)
+        fixed_v = rng.integers(0, 2**64, size=50, dtype=np.uint64)
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        expected = inner_v[full[lo:hi, 0]] + fixed_v[full[lo:hi, 1]]
+        assert rb.sums(inner_v, fixed_v, lo, hi).tobytes() == expected.tobytes()
+        # pair offsets to block indices: block boundaries map, others do not
+        starts = [0] + rb._ends.tolist()
+        picked = sorted(data.draw(st.sets(st.integers(0, len(blocks)), min_size=1)))
+        at = rb.block_edges(np.array([starts[b] for b in picked], dtype=np.int64))
+        assert at is not None and at.tolist() == picked
+        inside = [p for p in range(n) if p not in starts]
+        if inside:
+            edge = np.array([0, data.draw(st.sampled_from(inside))], dtype=np.int64)
+            assert rb.block_edges(edge) is None
+
     def test_empty(self):
         rb = RunBlocks(*_run_blocks([]))
         assert len(rb) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,18 @@ from marketsplit.enumerate1d import (
     HASH_SEED,
     CandidateBatch,
     PairSumEnumerator,
+    RunBlocks,
     SumsetEnumerator,
     build_quarter_tables,
     hash_multipliers,
     permuted_rhs,
 )
-from marketsplit.instances import MspInstance, SplitMix64, surrogate_reduce
+from marketsplit.instances import (
+    MspInstance,
+    SplitMix64,
+    generate_instance,
+    surrogate_reduce,
+)
 from marketsplit.oracle import brute_force_all
 from marketsplit.validate import (
     ParallelBackend,
@@ -121,14 +128,82 @@ class TestHash:
         assert (raw > d).any(axis=1).sum() > len(right) // 2
         right_vec = d - raw  # wraps for the overshooting pairs
         production, reference = ParallelBackend(), SerialBackend()
+        left_side, right_side = RunBlocks.from_pairs(left), RunBlocks.from_pairs(right)
         for backend in (production, reference):
-            got_left = backend.left_hashes(tables, left)
-            got_right = backend.right_hashes(tables, right, d)
+            got_left = backend.left_hashes(tables, left_side, 0, len(left))
+            got_right = backend.right_hashes(tables, right_side, 0, len(right), d)
             assert got_left.tobytes() == encode_batch(left_vec).tobytes()
             assert got_right.tobytes() == encode_batch(right_vec).tobytes()
         for row, h in zip(right_vec[:50].tolist(), got_right[:50].tolist()):
             signed = [int(v) - 2**64 if v >= 2**63 else int(v) for v in row]
             assert reference_hash(signed) == h
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        n=st.integers(4, 14),
+        k=st.sampled_from([3, 10, 100]),
+        source=st.sampled_from(["sumset", "heap", "array"]),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_run_native_hashes_equal_hashes_of_built_residuals(
+        self, seed, m, n, k, source, data
+    ):
+        # sides as the sumset sweep leaves them (multi-row blocks, window
+        # batches), as the heap drains them (one-row segments) and as
+        # arrays (one-pair blocks); the other rows' targets are cut to a
+        # third, so many right pairs overshoot d and wrap
+        inst = seeded_instance(seed, m=m, n=n, k=k)
+        tables = build_quarter_tables(inst)
+        d = permuted_rhs(inst, tables)
+        d[1:] //= 3
+        target = int(inst.d[0])
+        make = PairSumEnumerator if source == "heap" else SumsetEnumerator
+        batches = drain_window_batches(make(tables, target))
+        if not batches:
+            return
+        batch = data.draw(st.sampled_from(batches))
+        sides = [batch.left_pairs, batch.right_pairs]
+        if source == "array":
+            sides = [RunBlocks.from_pairs(side[:]) for side in sides]
+        ta, tb, tc, td = tables
+        for backend in (ParallelBackend(), SerialBackend()):
+            for name, side in zip(("left", "right"), sides):
+                if name == "left":
+                    def hashes(lo, hi):
+                        return backend.left_hashes(tables, side, lo, hi)
+
+                    def reference(pairs):
+                        return ta.contribs[pairs[:, 0]] + tb.contribs[pairs[:, 1]]
+                else:
+                    def hashes(lo, hi):
+                        return backend.right_hashes(tables, side, lo, hi, d)
+
+                    def reference(pairs):
+                        return d - (tc.contribs[pairs[:, 0]] + td.contribs[pairs[:, 1]])
+
+                total = len(side)
+                whole = encode_batch(reference(side[:]))
+                assert hashes(0, total).tobytes() == whole.tobytes()
+                lo = data.draw(st.integers(0, total), label=f"{name} lo")
+                hi = data.draw(st.integers(lo, total), label=f"{name} hi")
+                got = hashes(lo, hi)
+                assert got.dtype == np.uint64
+                assert got.tobytes() == encode_batch(reference(side[lo:hi])).tobytes()
+                # chunks tile the side, crossing every block and row edge
+                size = data.draw(st.integers(1, 7), label=f"{name} chunk")
+                tiled = [hashes(i, min(i + size, total)) for i in range(0, total, size)]
+                assert np.concatenate([whole[:0], *tiled]).tobytes() == whole.tobytes()
+
+
+def drain_window_batches(enumerator):
+    """Every batch an enumerator emits, window batches left whole."""
+    batches = []
+    while (batch := enumerator.next_batch()) is not None:
+        batches.append(batch)
+    return batches
 
 
 def brute_force_join(left, right):
@@ -405,6 +480,27 @@ class TestChunking:
             assert one.hash_hits == tiny.hash_hits
             assert one.exact_hits == tiny.exact_hits
 
+    def test_chunked_call_peaks_within_memory_budget(self):
+        # the largest batch of a (6,50,100) first-solution sweep, cut into
+        # chunks by a 2 MiB budget
+        inst = generate_instance(6, 100, 5)
+        tables = build_quarter_tables(inst)
+        enum = SumsetEnumerator(tables, int(inst.d[0]))
+        batches = [enum.next_batch() for _ in range(500)]
+        batch = max(batches, key=lambda b: b.n_left + b.n_right)
+        budget = 2 * 2**20
+        chunk = default_chunk_pairs(inst.m, budget)
+        assert batch.n_left > 4 * chunk and batch.n_right > chunk
+        backend, d = ParallelBackend(), permuted_rhs(inst, tables)
+        validate_chunked(batch, tables, inst, chunk, backend, d)  # caches h(d)
+        tracemalloc.start()
+        try:
+            validate_chunked(batch, tables, inst, chunk, backend, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= budget
+
     def test_chunk_pairs_validated(self):
         inst = seeded_instance(44, m=2, n=10, k=9)
         tables = build_quarter_tables(inst)
@@ -435,6 +531,21 @@ def _corrupt(batch, field, i, delta):
     values = getattr(batch, field).copy()
     values[i] += delta
     return dataclasses.replace(batch, **{field: values})
+
+
+def _moved(blocks, field, b, value):
+    """A copy of run blocks with entry b of one field set to value."""
+    fields = {
+        name: getattr(blocks, name).copy()
+        for name in ("inner_start", "inner_len", "fixed_start", "fixed_len")
+    }
+    fields[field][b] = value
+    return RunBlocks(**fields)
+
+
+def _inside_block(blocks, offset):
+    """Whether pair offset `offset` lies inside a block, not at its start."""
+    return 0 < offset < len(blocks) and offset not in blocks._ends
 
 
 class TestWindowBatches:
@@ -485,6 +596,47 @@ class TestWindowBatches:
             bad = _corrupt(batch, field, i, 1)
             with pytest.raises(AssertionError, match=side):
                 validate_chunked(bad, tables, inst, chunk, backend)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_corrupt_blocks_raise(self, backend, side):
+        # small weights: runs of several entries, so blocks have several
+        # rows of several pairs, and window edges sit next to such blocks
+        inst = seeded_instance(1, m=2, n=16, k=20)
+        tables, batches = _window_batches(inst)
+        field = "left_pairs" if side == "left" else "right_pairs"
+        edges_field = "left_edges" if side == "left" else "right_edges"
+        windows = [b for b in batches if b.alphas is not None]
+        # a window edge moved by +1 into the block it starts, and by -1
+        # into the block it ends (only the boundary check sees the latter)
+        corrupt = [
+            next(
+                _corrupt(b, edges_field, i, delta)
+                for b in windows
+                for i in range(1, len(b.alphas))
+                if _inside_block(getattr(b, field), int(getattr(b, edges_field)[i]) + delta)
+            )
+            for delta in (1, -1)
+        ]
+        # block corruptions on a window and on its first alpha alone,
+        # where no edge check can see them
+        for batch in (windows[0], windows[0].per_alpha()[0]):
+            validate_chunked(batch, tables, inst, 7, backend)  # intact: no error
+            blocks = getattr(batch, field)
+            inner = tables[0] if side == "left" else tables[2]
+            s0, length = int(blocks.inner_start[0]), int(blocks.inner_len[0])
+            for moved in (
+                # the inner run grown past its run's end
+                _moved(blocks, "inner_len", 0, length + 1),
+                # the inner run moved into another run of its table
+                _moved(blocks, "inner_start", 0, 0 if s0 else int(inner.run_end[0])),
+                # the fixed run moved to the next fixed index
+                _moved(blocks, "fixed_start", 0, int(blocks.fixed_start[0]) + 1),
+            ):
+                corrupt.append(dataclasses.replace(batch, **{field: moved}))
+        for bad in corrupt:
+            with pytest.raises(AssertionError, match=side):
+                validate_chunked(bad, tables, inst, 7, backend)
 
     def test_forced_cross_alpha_collisions(self):
         # constant hashes make every left pair of a window hit every right
