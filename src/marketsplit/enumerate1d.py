@@ -24,13 +24,16 @@ d_1 - (uC + uD): per window, a vectorized `searchsorted` lists the
 distinct-weight pairs whose sums fall in it, and their common values are
 the window's alphas.  Windows are cut so neither side holds more than
 4 * 2^(n/4) distinct-weight pairs; a single alpha never needs more than
-min(|uA|, |uB|), so the cut always exists.  A window whose index pairs
-fit the same bound leaves as one window batch: both sides as the
-window's `RunBlocks`, with the sorted alphas and each alpha's left and
-right pair edges (block boundaries), so the validator checks the whole
-window in one join.  Any other window leaves as one `RunBlocks` batch
-per alpha.  Split per alpha (`CandidateBatch.per_alpha`), both
-enumerators give the same stream.
+min(|uA|, |uB|), so the cut always exists.  The alphas then leave in
+pair-budgeted batches: consecutive alphas, in sweep order and across
+window boundaries, are grouped while the group holds at most
+`batch_pairs` = max(window cap, `BATCH_PAIRS`) index pairs, and an
+alpha larger than that leaves alone.  A group is closed when its next
+alpha would overflow it, or when the sweep ends.  Its sides are
+`RunBlocks` built once from its windows' blocks, with the sorted alphas
+and each alpha's left and right pair edges (block boundaries), so the
+validator checks the whole group in one join.  Split per alpha
+(`CandidateBatch.per_alpha`), both enumerators give the same stream.
 
 `PairSumEnumerator` is the paper's heap formulation, kept as the
 reference the sumset sweep is tested against.  H1 is a min-heap holding
@@ -59,6 +62,11 @@ from .instances import MASK64, MspInstance, SolutionVector, SplitMix64
 
 #: Seed of the SplitMix64 stream that yields the hash multipliers.
 HASH_SEED = 0x5EED_1EAF_0DD5_CA1E
+
+#: Pair budget of a `SumsetEnumerator` batch, unless its window cap is
+#: larger: enough pairs that one validation call's fixed cost is small
+#: against its per-pair cost.
+BATCH_PAIRS = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -266,16 +274,20 @@ class RunBlocks:
     def __iter__(self):
         return iter(self[:])
 
+    def block_range(self, lo: int, hi: int) -> tuple[int, int]:
+        """Blocks b0..b1-1, the ones holding pairs lo..hi-1 (lo < hi)."""
+        ends = self._ends
+        if lo == 0 and hi == int(ends[-1]):
+            return 0, len(ends)
+        b0 = int(ends.searchsorted(lo, side="right"))
+        return b0, int(ends.searchsorted(hi - 1, side="right")) + 1
+
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(first inner index, length, fixed index) of each row holding
         pairs lo..hi-1 (lo < hi), the first and last row clipped to them."""
         ends = self._ends
         whole = lo == 0 and hi == int(ends[-1])
-        if whole:
-            b0, b1 = 0, len(ends)
-        else:
-            b0 = int(ends.searchsorted(lo, side="right"))
-            b1 = int(ends.searchsorted(hi - 1, side="right")) + 1
+        b0, b1 = self.block_range(lo, hi)
         k = self.fixed_len[b0:b1]
         inner, lens = self.inner_start[b0:b1], self.inner_len[b0:b1]
         fixed = self.fixed_start[b0:b1]
@@ -334,9 +346,10 @@ class RunBlocks:
         ends = self._ends
         if len(ends) == len(self):  # one pair per block
             return edges
-        starts = np.concatenate(([0], ends))
-        at = np.minimum(starts.searchsorted(edges), len(ends))
-        return at if (starts[at] == edges).all() else None
+        at = ends.searchsorted(edges, side="right")
+        start = ends[at - 1]  # at == 0 reads the last end; reset below
+        start[at == 0] = 0
+        return at if (start == edges).all() else None
 
     def sub(self, b0: int, b1: int) -> "RunBlocks":
         """Blocks b0..b1-1 as their own side."""
@@ -365,11 +378,11 @@ class CandidateBatch:
     (k, 2) int64 array given for a side is stored as k one-pair blocks.
     Either way, `left_pairs[lo:hi]` is an array.
 
-    A window batch (`alphas` given) holds several alphas, ascending: the
-    pairs of `alphas[i]` are `left_pairs[left_edges[i]:left_edges[i+1]]`
-    and likewise on the right, each alpha with pairs on both sides, and
-    every edge on a block boundary; `alpha` and `beta` are those of
-    `alphas[0]`.
+    A grouped batch (`alphas` given, as `SumsetEnumerator` emits) holds
+    one or more consecutive alphas, ascending: the pairs of `alphas[i]`
+    are `left_pairs[left_edges[i]:left_edges[i+1]]` and likewise on the
+    right, each alpha with pairs on both sides, and every edge on a block
+    boundary; `alpha` and `beta` are those of `alphas[0]`.
     """
 
     alpha: int
@@ -394,12 +407,16 @@ class CandidateBatch:
     def n_right(self) -> int:
         return len(self.right_pairs)
 
-    def spans(self) -> tuple[list[int], list[int], list[int]]:
-        """(alphas, left edges, right edges) as lists, also for a batch of
-        one alpha."""
+    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(alphas, left pair edges, right pair edges) as arrays, also for a
+        batch of one alpha."""
         if self.alphas is None:
-            return [self.alpha], [0, self.n_left], [0, self.n_right]
-        return self.alphas.tolist(), self.left_edges.tolist(), self.right_edges.tolist()
+            return (
+                np.array([self.alpha], dtype=np.uint64),
+                np.array([0, self.n_left], dtype=np.int64),
+                np.array([0, self.n_right], dtype=np.int64),
+            )
+        return self.alphas, self.left_edges, self.right_edges
 
     def per_alpha(self) -> list["CandidateBatch"]:
         """The batch as one single-alpha batch per alpha."""
@@ -588,22 +605,25 @@ class _SumsetSide:
 
     def select(
         self, sums: np.ndarray, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray
-    ) -> tuple[RunBlocks, np.ndarray]:
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
         """Of the pairs listed by `sums(lo, hi)`, those whose sum is a key,
-        as blocks ordered by (key, fixed run); and the blocks per key."""
+        as `RunBlocks` fields ordered by (key, fixed run); with each key's
+        first block and its number of index pairs."""
         pos, per_key = _group(sums, keys)
         counts = hi - lo
         ends = np.cumsum(counts)
         y = np.searchsorted(ends, pos, side="right")
         x = lo[y] + pos - (ends[y] - counts[y])
         fields = self.in_start[x], self.in_len[x], self.fx_start[y], self.fx_len[y]
-        return RunBlocks(*fields), per_key
+        at = _offsets(per_key)
+        pairs = np.diff(_offsets(fields[1] * fields[3])[at])
+        return fields, at, pairs
 
 
 def _common_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted distinct values present in both arrays (neither empty)."""
     a, b = np.sort(a), np.sort(b)
-    distinct = a[np.r_[True, a[1:] != a[:-1]]]
+    distinct = a[np.concatenate(([True], a[1:] != a[:-1]))]
     pos = np.minimum(np.searchsorted(b, distinct), len(b) - 1)
     return distinct[b[pos] == distinct]
 
@@ -619,6 +639,13 @@ def _group(values: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return hit[np.argsort(key, kind="stable")], np.bincount(rank, minlength=len(keys))
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """0 followed by the running totals of `counts`."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 class SumsetEnumerator:
     """Heap-free engine with `PairSumEnumerator`'s exact batch stream.
 
@@ -627,10 +654,12 @@ class SumsetEnumerator:
     inner-run counts with sum below lo, and with right sum at most
     d_1 - lo.  `window_pairs` caps the distinct-weight pairs either side
     holds per window (default: the total table size, the four-table
-    space bound); `peak_window_pairs` is the most either side held.  A
-    window whose pairs fit the same cap is emitted whole, as one window
-    batch (`alphas` set); otherwise each alpha is its own batch.  Either
-    way the sides are the window's `RunBlocks`.
+    space bound); `peak_window_pairs` is the most either side held.
+    Every batch is a pair-budgeted group (`alphas` set): consecutive
+    alphas holding at most `batch_pairs` = max(`window_pairs`,
+    `BATCH_PAIRS`) pairs on both sides together, or one alpha over that.
+    A group is closed as soon as its next alpha would overflow it, so it
+    may span windows, and the open group is emitted when the sweep ends.
     """
 
     def __init__(
@@ -643,6 +672,7 @@ class SumsetEnumerator:
         self.tables = tuple(tables)
         self.target = int(target)
         self.window_pairs = window_pairs or sum(t.size for t in tables)
+        self.batch_pairs = max(self.window_pairs, BATCH_PAIRS)
         self._left = _SumsetSide(ta, tb)
         self._right = _SumsetSide(tc, td)
         max_left = int(ta.weights.max()) + int(tb.weights.max())
@@ -653,16 +683,24 @@ class SumsetEnumerator:
         self._lcount = self._left.count_le(self._lo - 1)
         self._rcount = self._right.count_le(self.target - self._lo)
         self._pending: deque[CandidateBatch] = deque()
+        # the open group: per window part, its alphas, index pairs per
+        # alpha on each side, and the four block fields of each side
+        self._open: list[tuple[np.ndarray, ...]] = []
+        self._open_pairs = 0
         self.peak_window_pairs = 0
         self.exhausted = False
 
     def next_batch(self) -> CandidateBatch | None:
-        """Next equal-weight candidate batch, or None once exhausted."""
+        """Next group of equal-weight candidate batches, or None once
+        exhausted."""
         while not self._pending:
-            if self._lo > self._end:
+            if self._lo <= self._end:
+                self._sweep_window()
+            elif self._open:
+                self._close_group()
+            else:
                 self.exhausted = True
                 return None
-            self._sweep_window()
         return self._pending.popleft()
 
     def _probe(self, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -714,28 +752,53 @@ class SumsetEnumerator:
             return
         # one side at a time, dropping each side's sums once used, so the
         # window's peak memory stays near that of its pairs
-        left, l_counts = self._left.select(l_sum, l_lo, lcount, common)
+        left, l_at, l_pairs = self._left.select(l_sum, l_lo, lcount, common)
         del l_sum
-        right, r_counts = self._right.select(r_alpha, rcount, r_hi, common)
+        right, r_at, r_pairs = self._right.select(r_alpha, rcount, r_hi, common)
         del r_alpha
-        l_edges = np.r_[0, np.cumsum(l_counts)]
-        r_edges = np.r_[0, np.cumsum(r_counts)]
-        target = self.target
-        emit = self._pending.append
-        if len(left) + len(right) <= self.window_pairs:
-            alpha = int(common[0])
-            emit(CandidateBatch(
-                alpha, target - alpha, left, right, common,
-                np.r_[0, left._ends][l_edges], np.r_[0, right._ends][r_edges],
+        total = _offsets(l_pairs + r_pairs)
+        n = len(common)
+        i = 0
+        while i < n:
+            # alphas i..j-1 are the most that fit beside the open group
+            room = self.batch_pairs - self._open_pairs
+            j = int(total.searchsorted(total[i] + room, side="right")) - 1
+            if j <= i:
+                if self._open:  # alpha i would overflow the open group
+                    self._close_group()
+                    continue
+                j = i + 1  # alpha i alone is over the budget
+            lb, le, rb, re = l_at[i], l_at[j], r_at[i], r_at[j]
+            self._open.append((
+                common[i:j], l_pairs[i:j], r_pairs[i:j],
+                *(f[lb:le] for f in left), *(f[rb:re] for f in right),
             ))
-            return
-        l_at, r_at = l_edges.tolist(), r_edges.tolist()
-        for i, alpha in enumerate(common.tolist()):
-            emit(CandidateBatch(
-                alpha, target - alpha,
-                left.sub(l_at[i], l_at[i + 1]),
-                right.sub(r_at[i], r_at[i + 1]),
-            ))
+            self._open_pairs += int(total[j] - total[i])
+            if j < n:  # alpha j would overflow it
+                self._close_group()
+            i = j
+
+    def _close_group(self) -> None:
+        """Emit the open group as one batch: its one part's arrays as they
+        are (views of the window's), or its parts' arrays joined."""
+        parts, self._open, self._open_pairs = self._open, [], 0
+        if len(parts) == 1:
+            alphas, l_pairs, r_pairs, *fields = parts[0]
+        else:
+            # one column at a time, each column's parts dropped once
+            # joined, so the group's blocks are not held twice
+            columns = list(zip(*parts))
+            del parts
+            joined = []
+            while columns:
+                joined.append(np.concatenate(columns.pop(0)))
+            alphas, l_pairs, r_pairs, *fields = joined
+        alpha = int(alphas[0])
+        self._pending.append(CandidateBatch(
+            alpha, self.target - alpha,
+            RunBlocks(*fields[:4]), RunBlocks(*fields[4:]),
+            alphas, _offsets(l_pairs), _offsets(r_pairs),
+        ))
 
 
 def assemble_solution(

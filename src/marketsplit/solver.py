@@ -2,15 +2,16 @@
 
 The driver applies an optional surrogate reduction, builds the four
 block tables for the (possibly merged) first row, and streams candidate
-batches from the sumset enumerator into the batch validator.  A window
-batch (many alphas, see `CandidateBatch`) is validated in one call and
-counted as the per-alpha batches it holds, so `batches`,
-`max_batch_pairs` and `progress` read as they would for the heap's
-per-alpha stream; `validate_calls` counts the calls.  Tiny instances
-skip the table machinery entirely and go straight to the brute-force
-oracle.  Enumeration is inherently serial; validation can run on worker
-threads behind a bounded batch buffer, which interleaves collection and
-checking the way an offloaded validator would.
+batches from the sumset enumerator into the batch validator.  Each
+batch is a pair-budgeted group of consecutive alphas (see
+`SumsetEnumerator`), validated in one call and counted as the per-alpha
+batches it holds, so `batches`, `max_batch_pairs` and `progress` read as
+they would for the heap's per-alpha stream; `validate_calls` counts the
+calls.  Tiny instances skip the table machinery entirely and go straight
+to the brute-force oracle.  Enumeration is inherently serial; validation
+can run on worker threads behind a bounded batch buffer, which
+interleaves collection and checking the way an offloaded validator
+would.
 
 First-solution mode stops as soon as one verified solution exists
 (cancellation is cooperative at chunk-pair granularity).  It returns the
@@ -28,7 +29,6 @@ import os
 import queue
 import threading
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,6 +309,7 @@ def _run_sequential(
             found.extend(sols)
             if cfg.mode == "first" and found:
                 break
+            del batch  # released before the next one is built
     finally:
         _merge_vstats(stats, vstats)
     return found
@@ -328,15 +329,16 @@ def _count_batch(stats: SolveStats, batch, target: int, last_alpha: int | None) 
     stream would count, but no alpha past `last_alpha` (the solving one,
     where a first-solution solve stops)."""
     alphas, l_at, r_at = batch.spans()
-    k = len(alphas) if last_alpha is None else bisect_right(alphas, last_alpha)
+    k = len(alphas)
+    if last_alpha is not None:
+        k = int(alphas.searchsorted(last_alpha, side="right"))
     stats.batches += k
-    stats.max_batch_pairs = max(
-        stats.max_batch_pairs,
-        max(l_at[i + 1] - l_at[i] + r_at[i + 1] - r_at[i] for i in range(k)),
-    )
+    pairs = l_at[: k + 1] + r_at[: k + 1]  # both sides' pairs before each alpha
+    stats.max_batch_pairs = max(stats.max_batch_pairs, int(np.diff(pairs).max()))
     # alpha only grows along the sweep; with several workers batches may
     # finish out of order, so keep the largest
-    stats.progress = max(stats.progress, alphas[k - 1] / target if target else 1.0)
+    last = int(alphas[k - 1])
+    stats.progress = max(stats.progress, last / target if target else 1.0)
 
 
 def _merge_vstats(stats: SolveStats, vstats: ValidationStats) -> None:

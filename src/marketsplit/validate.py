@@ -26,7 +26,9 @@ Coordinate 0 of every residual must equal the pair's alpha.  It is
 checked once per block, not per pair: the block's inner and fixed runs
 must each lie inside one equal-weight run of their table, so all its
 pairs share the weight of its first pair, and that weight (left) or d_1
-minus it (right) must be the block's alpha.
+minus it (right) must be the block's alpha.  The blocks of a chunk are
+checked before the chunk is first joined, so the check's temporaries
+scale with the chunk, not with the batch.
 
 `join_hashes` finds the equal-hash pairs.  It marks the low `bits` of
 the smaller side's hashes in a byte bitmap, keeps the larger side's
@@ -45,19 +47,21 @@ Oversized batches are cut into chunk pairs to respect a memory budget;
 chunking never changes the result set because the pair product is
 partitioned disjointly.
 
-A window batch carries the candidates of many alphas (see
-`CandidateBatch`) and is validated by the same joins as one batch: the
-hash covers coordinate 0, which is alpha on both sides, so pairs of
+A grouped batch carries the candidates of many consecutive alphas, up
+to the enumerator's pair budget (see `CandidateBatch` and
+`SumsetEnumerator`), and is validated by the same joins as one batch:
+the hash covers coordinate 0, which is alpha on both sides, so pairs of
 different alphas can only collide, and the exact confirmation rejects
-any such hit.  Each alpha's pair edges must fall on block boundaries,
-so the per-block check sees every pair with its own alpha.  One call
-then pays the fixed cost of hashing and joining once for the whole
-window instead of once per alpha.
+any such hit.  A left chunk is joined only with the right pairs of the
+alphas it holds.  Each alpha's pair edges must fall on block
+boundaries, so the per-block check sees every pair with its own alpha.
+One call then pays the fixed cost of hashing and joining once for the
+whole group instead of once per alpha.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -417,11 +421,12 @@ def validate_chunked(
     the remaining chunk pairs are abandoned, and the caller must treat
     the batch as unfinished.
 
-    Every block is checked against its alpha before any chunk is hashed
-    (see `_check_blocks`).  A window batch is joined as a whole (see the
-    module docstring): a left chunk meets only the right chunks that hold
-    one of its alphas.  Solutions come in chunk-pair order, (right, left)
-    within a chunk pair, so by ascending alpha.
+    Each alpha's pair edges must fall on block boundaries, and every
+    block is checked against its alpha before its chunk is first joined,
+    left before right (see `_BlockCheck`).  A grouped batch is joined as
+    a whole (see the module docstring): a left chunk meets only the right
+    chunks that hold one of its alphas.  Solutions come in chunk-pair
+    order, (right, left) within a chunk pair, so by ascending alpha.
     """
     if chunk_pairs < 1:
         raise ValueError(f"chunk_pairs must be >= 1, got {chunk_pairs}")
@@ -431,30 +436,31 @@ def validate_chunked(
     d = np.ascontiguousarray(d, dtype=np.uint64)
     left, right = batch.left_pairs, batch.right_pairs
 
-    _, l_at, r_at = batch.spans()
-    n_left, n_right = l_at[-1], r_at[-1]
-    if batch.alphas is None:
-        alpha, l_edges, r_edges = batch.alpha, None, None
-    else:
-        alpha, l_edges, r_edges = batch.alphas, batch.left_edges, batch.right_edges
-    _check_blocks(left, tables[0], tables[1], alpha, l_edges, "left")
-    _check_blocks(right, tables[2], tables[3], alpha, r_edges, "right", d[0])
+    alphas, l_edges, r_edges = batch.spans()
+    n_left, n_right = int(l_edges[-1]), int(r_edges[-1])
+    l_check = _BlockCheck(left, tables[0], tables[1], alphas, l_edges, "left")
+    r_check = _BlockCheck(right, tables[2], tables[3], alphas, r_edges, "right", d[0])
     if stats is not None:
         stats.calls += 1
 
     solutions: list[SolutionVector] = []
-    right_counted = 0  # right pairs before this were counted
+    # right pairs before these were checked, and counted
+    right_checked = right_counted = 0
     for ls in range(0, max(n_left, 1), chunk_pairs):
         l_end = min(ls + chunk_pairs, n_left)
+        l_check(ls, l_end)
         left_h = backend.left_hashes(tables, left, ls, l_end)
         if stats is not None:
             stats.candidates_left += l_end - ls
         # only the right chunks holding this chunk's alphas
-        r_lo, r_hi = _partner_range(l_at, r_at, ls, l_end)
+        r_lo, r_hi = _partner_range(l_edges, r_edges, ls, l_end)
         for rs in range(r_lo - r_lo % chunk_pairs, r_hi, chunk_pairs):
             if should_stop is not None and should_stop():
                 return solutions
             r_end = min(rs + chunk_pairs, n_right)
+            # right pairs are checked once they partner a checked left chunk
+            r_check(max(rs, r_lo, right_checked), min(r_end, r_hi))
+            right_checked = max(right_checked, min(r_end, r_hi))
             if rs >= right_counted:
                 if stats is not None:
                     stats.candidates_right += r_end - rs
@@ -474,46 +480,54 @@ def validate_chunked(
     return solutions
 
 
-def _check_blocks(
-    side: RunBlocks,
-    t_in: QuarterTable,
-    t_fx: QuarterTable,
-    alpha,
-    edges: np.ndarray | None,
-    name: str,
-    d0=None,
-) -> None:
-    """Assert, once per block, that every pair of `side` has its alpha
-    (see the module docstring).  `alpha` is one alpha, or a window's
-    alphas with their pair `edges`, which must fall on block boundaries.
-    """
-    s0, f0 = side.inner_start, side.fixed_start
-    if not (
-        (s0 + side.inner_len <= t_in.run_end[s0]).all()
-        and (f0 + side.fixed_len <= t_fx.run_end[f0]).all()
-    ):
-        raise AssertionError(f"{name} run block crosses an equal-weight run")
-    if edges is not None:
+class _BlockCheck:
+    """Asserts that every pair of one batch side has its alpha (see the
+    module docstring), for the blocks of one pair range at a time.  The
+    alphas' pair `edges` must fall on block boundaries."""
+
+    def __init__(self, side, t_in, t_fx, alphas, edges, name: str, d0=None):
         at = side.block_edges(edges)
         if at is None:
-            raise AssertionError(f"{name} window edge falls inside a run block")
-        alpha = alpha.repeat(at[1:] - at[:-1])
-    weight = t_in.weights[s0] + t_fx.weights[f0]
-    if d0 is not None:
-        weight = d0 - weight
-    if not (weight == alpha).all():
-        raise AssertionError(f"{name} run block weight disagrees with its alpha")
+            raise AssertionError(f"{name} alpha edge falls inside a run block")
+        self.side, self.t_in, self.t_fx = side, t_in, t_fx
+        self.alphas, self.at = alphas, at  # each alpha's first block
+        self.name, self.d0 = name, d0
+
+    def __call__(self, lo: int, hi: int) -> None:
+        """Check the blocks holding pairs lo..hi-1."""
+        if hi <= lo:
+            return
+        side, t_in, t_fx, name, at = self.side, self.t_in, self.t_fx, self.name, self.at
+        b0, b1 = side.block_range(lo, hi)
+        s0, f0 = side.inner_start[b0:b1], side.fixed_start[b0:b1]
+        if not (
+            (s0 + side.inner_len[b0:b1] <= t_in.run_end[s0]).all()
+            and (f0 + side.fixed_len[b0:b1] <= t_fx.run_end[f0]).all()
+        ):
+            raise AssertionError(f"{name} run block crosses an equal-weight run")
+        # the alphas of blocks b0..b1-1, one per block
+        alpha = self.alphas
+        if len(alpha) > 1:
+            a0 = int(at.searchsorted(b0, side="right")) - 1
+            a1 = int(at.searchsorted(b1))
+            alpha = alpha[a0:a1].repeat(np.diff(np.clip(at[a0 : a1 + 1], b0, b1)))
+        weight = t_in.weights[s0] + t_fx.weights[f0]
+        if self.d0 is not None:
+            weight = self.d0 - weight
+        if not (weight == alpha).all():
+            raise AssertionError(f"{name} run block weight disagrees with its alpha")
 
 
 def _partner_range(
-    l_edges: list[int], r_edges: list[int], lo: int, hi: int
+    l_edges: np.ndarray, r_edges: np.ndarray, lo: int, hi: int
 ) -> tuple[int, int]:
     """Right pairs [start, end) of the alphas that left pairs lo..hi-1 hold;
     all of them for a batch of one alpha, even one without left pairs."""
     if len(l_edges) == 2:
-        return 0, r_edges[1]
-    a0, a1 = bisect_right(l_edges, lo) - 1, bisect_left(l_edges, hi)
-    return r_edges[a0], r_edges[a1]
+        return 0, int(r_edges[1])
+    a0 = int(l_edges.searchsorted(lo, side="right")) - 1
+    a1 = int(l_edges.searchsorted(hi))
+    return int(r_edges[a0]), int(r_edges[a1])
 
 
 def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> int:
@@ -525,11 +539,14 @@ def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> in
     of two), and the larger side's filter mask and survivor indices at
     most 9 per pair.  That is at most 2 * 16 + 16 + 9 = 57 bytes, charged
     as 64.  Hashing a side from its blocks briefly needs 16 more bytes
-    per pair beside the hashes, which is less.  Not charged: the
-    per-block checks, smaller than the batch's own blocks, and the hash
-    hits, whose number the solutions and collisions set.  No m-vector is
-    built per pair, so `m` does not enter; the reference paths that do
-    build them (`SerialBackend`, an `encode_fn` override) are not sized
-    by this budget.
+    per pair beside the hashes, which is less.  The per-block checks run
+    on one chunk's blocks before the chunk is joined and need at most 33
+    bytes per block, so per pair, of that chunk; beside the left chunk's
+    hashes that is also less.  This holds for a grouped batch, whose
+    blocks may each be one pair, as for a batch of one alpha.  Not
+    charged: the hash hits, whose number the solutions and collisions
+    set.  No m-vector is built per pair, so `m` does not enter; the
+    reference paths that do build them (`SerialBackend`, an `encode_fn`
+    override) are not sized by this budget.
     """
     return max(1, budget_bytes // 64)

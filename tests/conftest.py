@@ -63,7 +63,7 @@ def batch_vectors(tables, batch) -> set[tuple[int, ...]]:
 
 
 def drain_all_batches(enumerator):
-    """Every batch an enumerator emits, window batches split per alpha, so
+    """Every batch an enumerator emits, grouped batches split per alpha, so
     the list compares alpha by alpha between enumerators."""
     batches = []
     while (batch := enumerator.next_batch()) is not None:

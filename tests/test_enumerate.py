@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marketsplit import enumerate1d
 from marketsplit.enumerate1d import (
     PairSumEnumerator,
     RunBlocks,
@@ -367,11 +368,15 @@ class TestRunBlocks:
         assert [list(p) for p in rb] == _expand_reference(_run_blocks([(3, 2, 5, 2)]))
 
 
-def batch_stream(enum) -> list[tuple]:
+def batch_stream_of(batches) -> list[tuple]:
     return [
         (b.alpha, b.beta, b.left_pairs[:].tolist(), b.right_pairs[:].tolist())
-        for b in drain_all_batches(enum)
+        for b in batches
     ]
+
+
+def batch_stream(enum) -> list[tuple]:
+    return batch_stream_of(drain_all_batches(enum))
 
 
 class TestSumsetEnumerator:
@@ -445,3 +450,71 @@ class TestSumsetEnumerator:
             assert np.array_equal(got.right_pairs[:], expected.right_pairs[:])
             count += 1
         assert next(per_alpha, None) is None and count > 100
+
+
+def _batch_sizes(batch) -> tuple[int, int]:
+    """A batch's pairs, both sides, and those of its first alpha."""
+    _, left, right = batch.spans()
+    per_alpha = np.diff(left + right)
+    return batch.n_left + batch.n_right, int(per_alpha[0])
+
+
+class TestPairBudgetedGroups:
+    """`SumsetEnumerator` batches: consecutive alphas grouped up to the
+    pair budget, across window boundaries."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        n=st.integers(4, 16),
+        k=st.sampled_from([3, 10, 100]),
+        window=st.sampled_from([1, 3, 7, None]),
+        budget=st.sampled_from([1, 7, 64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_groups_split_into_heap_stream(self, seed, m, n, k, window, budget):
+        inst = seeded_instance(seed, m=m, n=n, k=k)
+        if m > 1:
+            inst = surrogate_reduce(inst, m)
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(enumerate1d, "BATCH_PAIRS", budget)
+            enum = SumsetEnumerator(tables, target, window)
+        cap = enum.batch_pairs
+        assert cap == max(enum.window_pairs, budget)
+        batches = list(iter(enum.next_batch, None))
+        # split per alpha, the groups are the heap's stream
+        per_alpha = [p for b in batches for p in b.per_alpha()]
+        expected = batch_stream(PairSumEnumerator(tables, target))
+        assert batch_stream_of(per_alpha) == expected
+        sizes = [_batch_sizes(b) for b in batches]
+        for batch, (pairs, _) in zip(batches, sizes):
+            assert pairs <= cap or len(batch.alphas) == 1
+        # maximal: the next batch's first alpha would overflow each group
+        for (pairs, _), (_, first) in zip(sizes, sizes[1:]):
+            assert pairs + first > cap
+
+    def test_a_group_crosses_window_boundaries(self, monkeypatch):
+        # windows of at most 7 distinct-weight pairs per side, groups of
+        # up to 64 index pairs: some group holds alphas of two windows
+        monkeypatch.setattr(enumerate1d, "BATCH_PAIRS", 64)
+        window_ends = []
+        cut = SumsetEnumerator._cut
+
+        def recording_cut(self):
+            hi, probe = cut(self)
+            window_ends.append(hi)
+            return hi, probe
+
+        monkeypatch.setattr(SumsetEnumerator, "_cut", recording_cut)
+        inst = seeded_instance(1, m=2, n=16, k=100)
+        enum = SumsetEnumerator(build_quarter_tables(inst), int(inst.d[0]), 7)
+        groups = list(iter(enum.next_batch, None))
+        ends = np.array(window_ends)
+        # window i holds the alphas in (ends[i - 1], ends[i]]
+        crossing = [
+            g for g in groups
+            if ends.searchsorted(g.alphas[0]) != ends.searchsorted(g.alphas[-1])
+        ]
+        assert crossing and all(g.n_left + g.n_right <= 64 for g in crossing)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marketsplit import enumerate1d
 from marketsplit import solver as solver_module
 from marketsplit.enumerate1d import (
     PairSumEnumerator,
@@ -198,22 +199,40 @@ def _per_alpha_first(inst: MspInstance, reduce_rows: int):
     return [], batches, max_pairs, 1.0
 
 
+def _place_in_group(inst: MspInstance, reduce_rows: int, alpha: int):
+    """(position, size) of `alpha` in the sumset batch holding it."""
+    work = surrogate_reduce(inst, reduce_rows)
+    enum = SumsetEnumerator(build_quarter_tables(work), int(work.d[0]))
+    while (batch := enum.next_batch()) is not None:
+        alphas = batch.alphas.tolist()
+        if alpha in alphas:
+            return alphas.index(alpha), len(alphas)
+    raise AssertionError(f"alpha {alpha} not enumerated")
+
+
 class TestWindowBatchesThroughSolver:
-    """With reduce_rows=3 most alphas leave the sweep in window batches;
-    a first-solution solve must still read like the per-alpha loop."""
+    """With reduce_rows=3 most alphas leave the sweep in batches of many
+    alphas; a first-solution solve must still read like the per-alpha
+    loop."""
 
     @pytest.mark.parametrize("depth", [1, 4], ids=["sequential", "pipeline_run"])
     def test_first_mode_reduced_equals_per_alpha_loop(self, depth):
-        # feasible instances whose solving alpha sits in a window batch
-        # before other alphas: first of 2 (m = 3), 47th of 68 (m = 5)
+        # feasible instances whose solving alpha sits in a batch before
+        # other alphas: first of 8 and of 13 (m = 3), and 4,596th of
+        # 16,216 (m = 5), in the middle of a group that spans windows
         instances = [
             seeded_instance(0, m=3, n=28, k=100),
             seeded_instance(8, m=3, n=28, k=100),
             generate_instance(5, 100, 18),
         ]
+        places = []
         calls = batches = 0
         for inst in instances:
             expected = _per_alpha_first(inst, 3)
+            work = surrogate_reduce(inst, 3)
+            places.append(
+                _place_in_group(inst, 3, round(expected[3] * int(work.d[0])))
+            )
             cfg = SolverConfig(
                 mode="first", reduce_rows=3, pipeline_depth=depth, worker_count=1
             )
@@ -223,7 +242,9 @@ class TestWindowBatchesThroughSolver:
             assert got == expected, inst.n
             assert result.verdict == "feasible"
             calls, batches = calls + s.validate_calls, batches + s.batches
-        assert calls < batches  # windows were validated whole
+        assert calls < batches  # groups were validated whole
+        assert all(pos < size - 1 for pos, size in places)
+        assert any(0 < pos for pos, _ in places)  # mid-group
 
 
 class TestBackendsThroughSolver:
@@ -309,6 +330,12 @@ class TestErrorsEscape:
     @pytest.mark.parametrize("depth, workers", [(1, 1), (4, 1), (4, 2)])
     @pytest.mark.parametrize("where", ["validate", "enumerate"])
     def test_error_propagates(self, monkeypatch, where, depth, workers):
+        # a pair budget down to the window cap (4 * 2^5 pairs) splits the
+        # sweep into many batches, so there is a second call to fail
+        monkeypatch.setattr(enumerate1d, "BATCH_PAIRS", 1)
+        inst = seeded_instance(0, m=2, n=20, k=100)
+        cfg = SolverConfig(mode="all", pipeline_depth=depth, worker_count=workers)
+        assert solve(inst, cfg).stats.validate_calls >= 2  # 13 calls
         if where == "validate":
             monkeypatch.setattr(
                 solver_module,
@@ -321,8 +348,6 @@ class TestErrorsEscape:
                 "next_batch",
                 self._fail_on_second_call(SumsetEnumerator.next_batch),
             )
-        inst = seeded_instance(0, m=2, n=20, k=100)  # 136 validate calls
-        cfg = SolverConfig(mode="all", pipeline_depth=depth, worker_count=workers)
         before = set(threading.enumerate())
         raised: list[BaseException] = []
 

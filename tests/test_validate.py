@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marketsplit import enumerate1d
 from marketsplit.enumerate1d import (
     HASH_SEED,
     CandidateBatch,
@@ -199,7 +200,7 @@ class TestHash:
 
 
 def drain_window_batches(enumerator):
-    """Every batch an enumerator emits, window batches left whole."""
+    """Every batch an enumerator emits, grouped batches left whole."""
     batches = []
     while (batch := enumerator.next_batch()) is not None:
         batches.append(batch)
@@ -480,17 +481,11 @@ class TestChunking:
             assert one.hash_hits == tiny.hash_hits
             assert one.exact_hits == tiny.exact_hits
 
-    def test_chunked_call_peaks_within_memory_budget(self):
-        # the largest batch of a (6,50,100) first-solution sweep, cut into
-        # chunks by a 2 MiB budget
-        inst = generate_instance(6, 100, 5)
-        tables = build_quarter_tables(inst)
-        enum = SumsetEnumerator(tables, int(inst.d[0]))
-        batches = [enum.next_batch() for _ in range(500)]
-        batch = max(batches, key=lambda b: b.n_left + b.n_right)
-        budget = 2 * 2**20
-        chunk = default_chunk_pairs(inst.m, budget)
-        assert batch.n_left > 4 * chunk and batch.n_right > chunk
+    BUDGET = 2 * 2**20
+
+    @staticmethod
+    def _call_peak(batch, tables, inst, chunk):
+        """tracemalloc peak of one `validate_chunked` call."""
         backend, d = ParallelBackend(), permuted_rhs(inst, tables)
         validate_chunked(batch, tables, inst, chunk, backend, d)  # caches h(d)
         tracemalloc.start()
@@ -499,7 +494,50 @@ class TestChunking:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 0 < peak <= budget
+        return peak
+
+    @staticmethod
+    def _largest_m6_batch():
+        """The largest of the first 500 batches of a (6,50,100) sweep."""
+        inst = generate_instance(6, 100, 5)
+        tables = build_quarter_tables(inst)
+        enum = SumsetEnumerator(tables, int(inst.d[0]))
+        batches = [enum.next_batch() for _ in range(500)]
+        return inst, tables, max(batches, key=lambda b: b.n_left + b.n_right)
+
+    def test_chunked_call_peaks_within_memory_budget(self):
+        # the largest batch of a (6,50,100) first-solution sweep, cut into
+        # chunks by a 2 MiB budget
+        inst, tables, batch = self._largest_m6_batch()
+        chunk = default_chunk_pairs(inst.m, self.BUDGET)
+        assert batch.n_left > 4 * chunk and batch.n_right > chunk
+        assert 0 < self._call_peak(batch, tables, inst, chunk) <= self.BUDGET
+
+    def test_one_pair_blocks_peak_within_memory_budget(self):
+        # the same batch rebuilt from arrays, so every block is one pair
+        # and the per-block checks see as many blocks as pairs
+        inst, tables, batch = self._largest_m6_batch()
+        batch = CandidateBatch(
+            batch.alpha, batch.beta, batch.left_pairs[:], batch.right_pairs[:]
+        )
+        assert len(batch.left_pairs.inner_start) == batch.n_left
+        chunk = default_chunk_pairs(inst.m, self.BUDGET)
+        assert batch.n_left > 4 * chunk and batch.n_right > chunk
+        assert 0 < self._call_peak(batch, tables, inst, chunk) <= self.BUDGET
+
+    def test_grouped_batch_peaks_within_memory_budget(self, monkeypatch):
+        # with reduce_rows=3 nearly every alpha has one pair per side, so a
+        # group is one-pair blocks of thousands of alphas; a pair budget of
+        # 2^17 makes this instance's whole sweep one group
+        monkeypatch.setattr(enumerate1d, "BATCH_PAIRS", 2**17)
+        inst = surrogate_reduce(generate_instance(5, 100, 3), 3)
+        tables, batches = _window_batches(inst)
+        batch = max(batches, key=lambda b: b.n_left + b.n_right)
+        assert len(batch.alphas) > 30_000
+        assert len(batch.left_pairs.inner_start) == batch.n_left
+        chunk = default_chunk_pairs(inst.m, self.BUDGET)
+        assert batch.n_left > chunk and batch.n_right > chunk
+        assert 0 < self._call_peak(batch, tables, inst, chunk) <= self.BUDGET
 
     def test_chunk_pairs_validated(self):
         inst = seeded_instance(44, m=2, n=10, k=9)
@@ -512,7 +550,7 @@ class TestChunking:
 
 def _window_batches(inst, window=None):
     """Tables of `inst` and the raw batch stream of its sumset sweep, with
-    the window batches (several alphas) it emits left whole."""
+    the grouped batches (consecutive alphas) it emits left whole."""
     tables = build_quarter_tables(inst)
     enum = SumsetEnumerator(tables, int(inst.d[0]), window)
     batches = []
@@ -527,7 +565,7 @@ def _reduced_instance(seed, m, n, k):
 
 
 def _corrupt(batch, field, i, delta):
-    """A copy of a window batch with entry i of one edge/alpha array moved."""
+    """A copy of a grouped batch with entry i of one edge/alpha array moved."""
     values = getattr(batch, field).copy()
     values[i] += delta
     return dataclasses.replace(batch, **{field: values})
@@ -549,7 +587,7 @@ def _inside_block(blocks, offset):
 
 
 class TestWindowBatches:
-    """A window batch (many alphas, one call) against its per-alpha parts."""
+    """A grouped batch (many alphas, one call) against its per-alpha parts."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
