@@ -21,8 +21,11 @@ else expands them to index pairs only a slice at a time.
 `SumsetEnumerator` is the one enumerator `solve()` runs.  It sweeps
 alpha in windows over the distinct-weight sumsets uA + uB and
 d_1 - (uC + uD): per window, a vectorized `searchsorted` lists the
-distinct-weight pairs whose sums fall in it, and their common values are
-the window's alphas.  Windows are cut so neither side holds more than
+distinct-weight pairs whose sums fall in it, and each side's sums are
+sorted once.  The values both sorted sides share are the window's
+alphas, and each alpha's pairs are one contiguous range of its side's
+sorted order; only those pairs are re-sorted, by (alpha, position), to
+list them fixed-major.  Windows are cut so neither side holds more than
 4 * 2^(n/4) distinct-weight pairs; a single alpha never needs more than
 min(|uA|, |uB|), so the cut always exists.  The alphas then leave in
 pair-budgeted batches: consecutive alphas, in sweep order and across
@@ -54,7 +57,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -604,12 +607,15 @@ class _SumsetSide:
         return out
 
     def select(
-        self, sums: np.ndarray, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray
+        self, order: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+        keys: np.ndarray,
     ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
         """Of the pairs listed by `sums(lo, hi)`, those whose sum is a key,
         as `RunBlocks` fields ordered by (key, fixed run); with each key's
-        first block and its number of index pairs."""
-        pos, per_key = _group(sums, keys)
+        first block and its number of index pairs.  `values` are those
+        sums sorted and `order` their list positions (an argsort), so a
+        key's pairs are one range of `order`."""
+        pos, per_key = _key_positions(order, values, keys)
         counts = hi - lo
         ends = np.cumsum(counts)
         y = np.searchsorted(ends, pos, side="right")
@@ -620,23 +626,44 @@ class _SumsetSide:
         return fields, at, pairs
 
 
-def _common_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted distinct values present in both arrays (neither empty)."""
-    a, b = np.sort(a), np.sort(b)
-    distinct = a[np.concatenate(([True], a[1:] != a[:-1]))]
-    pos = np.minimum(np.searchsorted(b, distinct), len(b) - 1)
-    return distinct[b[pos] == distinct]
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending, nonempty array."""
+    first = np.empty(len(a), dtype=bool)
+    first[0] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
 
 
-def _group(values: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the entries of `values` equal to some key, ordered by
-    (key, position), and their count per key.  `keys` is sorted, unique."""
-    rank = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
-    hit = np.flatnonzero(keys[rank] == values)
-    rank = rank[hit]
-    # a stable sort of 16-bit keys is a radix sort, several times faster
-    key = rank.astype(np.uint16) if len(keys) <= 1 << 16 else rank
-    return hit[np.argsort(key, kind="stable")], np.bincount(rank, minlength=len(keys))
+def _shared_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distinct values present in both ascending arrays (neither empty),
+    ascending."""
+    # a merge, not a binary search per value: a stable sort of two sorted
+    # runs is one linear merge, after which a shared value sits twice
+    both = np.concatenate((_distinct(a), _distinct(b)))
+    both.sort(kind="stable")
+    return both[1:][both[1:] == both[:-1]]
+
+
+def _key_positions(
+    order: np.ndarray, values: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries equal to some key, ordered by (key,
+    position), and their count per key.  `values` is an array sorted
+    ascending, `order` the positions its entries had (an argsort of the
+    unsorted array); `keys` is sorted and unique."""
+    start = values.searchsorted(keys)
+    per_key = values.searchsorted(keys, side="right") - start
+    n = len(values)
+    # each key's entries are one range of the sorted order; only these
+    # hits are re-sorted, by (key rank, position)
+    rank_n = np.repeat(np.arange(0, len(keys) * n, n), per_key)
+    at = np.repeat(start - (np.cumsum(per_key) - per_key), per_key)
+    at += np.arange(len(at))
+    key = order[at]
+    key += rank_n
+    key.sort()
+    key -= rank_n
+    return key, per_key
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -654,7 +681,8 @@ class SumsetEnumerator:
     inner-run counts with sum below lo, and with right sum at most
     d_1 - lo.  `window_pairs` caps the distinct-weight pairs either side
     holds per window (default: the total table size, the four-table
-    space bound); `peak_window_pairs` is the most either side held.
+    space bound); `peak_window_pairs` is the most either side held, and
+    `windows` counts the windows cut.
     Every batch is a pair-budgeted group (`alphas` set): consecutive
     alphas holding at most `batch_pairs` = max(`window_pairs`,
     `BATCH_PAIRS`) pairs on both sides together, or one alpha over that.
@@ -688,13 +716,20 @@ class SumsetEnumerator:
         self._open: list[tuple[np.ndarray, ...]] = []
         self._open_pairs = 0
         self.peak_window_pairs = 0
+        self.windows = 0
         self.exhausted = False
 
-    def next_batch(self) -> CandidateBatch | None:
+    def next_batch(
+        self, should_stop: Callable[[], bool] | None = None
+    ) -> CandidateBatch | None:
         """Next group of equal-weight candidate batches, or None once
-        exhausted."""
+        exhausted.  `should_stop` (a callable) is polled before each
+        window; once it returns true, the call returns None and leaves
+        `exhausted` False."""
         while not self._pending:
             if self._lo <= self._end:
+                if should_stop is not None and should_stop():
+                    return None
                 self._sweep_window()
             elif self._open:
                 self._close_group()
@@ -739,6 +774,7 @@ class SumsetEnumerator:
 
     def _sweep_window(self) -> None:
         hi, (held, lcount, rcount) = self._cut()
+        self.windows += 1
         self.peak_window_pairs = max(self.peak_window_pairs, held)
         l_lo, r_hi = self._lcount, self._rcount
         self._lo, self._lcount, self._rcount = hi + 1, lcount, rcount
@@ -746,16 +782,21 @@ class SumsetEnumerator:
         r_alpha = np.uint64(self.target) - self._right.sums(rcount, r_hi)
         if not len(l_sum) or not len(r_alpha):
             return
-        # alphas that are both a left sum and d_1 minus a right sum
-        common = _common_values(l_sum, r_alpha)
+        # each side sorted once: the alphas are the values both share,
+        # and each alpha's pairs one range of its side's sorted order
+        l_order, r_order = l_sum.argsort(), r_alpha.argsort()
+        l_sum, r_alpha = l_sum[l_order], r_alpha[r_order]
+        common = _shared_values(l_sum, r_alpha)
         if not len(common):
             return
         # one side at a time, dropping each side's sums once used, so the
         # window's peak memory stays near that of its pairs
-        left, l_at, l_pairs = self._left.select(l_sum, l_lo, lcount, common)
-        del l_sum
-        right, r_at, r_pairs = self._right.select(r_alpha, rcount, r_hi, common)
-        del r_alpha
+        left, l_at, l_pairs = self._left.select(l_order, l_sum, l_lo, lcount, common)
+        del l_sum, l_order
+        right, r_at, r_pairs = self._right.select(
+            r_order, r_alpha, rcount, r_hi, common
+        )
+        del r_alpha, r_order
         total = _offsets(l_pairs + r_pairs)
         n = len(common)
         i = 0

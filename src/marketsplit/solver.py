@@ -121,6 +121,7 @@ class SolveStats:
     max_batch_pairs: int = 0
     peak_table_entries: int = 0
     peak_window_pairs: int = 0
+    windows: int = 0
     progress: float = 0.0
     t_build: float = 0.0
     t_enumerate: float = 0.0
@@ -140,6 +141,7 @@ class SolveStats:
             "max_batch_pairs": self.max_batch_pairs,
             "peak_table_entries": self.peak_table_entries,
             "peak_window_pairs": self.peak_window_pairs,
+            "windows": self.windows,
             "progress": round(self.progress, 6),
             "t_build": round(self.t_build, 6),
             "t_enumerate": round(self.t_enumerate, 6),
@@ -189,7 +191,7 @@ def solve(
 
     Raises SolveTimeout, carrying the partial stats, if `time_limit`
     (seconds) elapses first; the check is cooperative, so granularity is
-    one batch / chunk pair.
+    one sweep window / chunk pair.
     """
     cfg = (cfg or SolverConfig()).validated()
     t_start = time.perf_counter()
@@ -264,9 +266,10 @@ def solve(
 
 
 def _enumerator_stats(stats: SolveStats, enumerator, finished: bool) -> None:
-    """The sweep's window peak, and progress 1.0 once the sweep is
-    exhausted and every batch was validated (`finished`)."""
+    """The sweep's window peak and window count, and progress 1.0 once
+    the sweep is exhausted and every batch was validated (`finished`)."""
     stats.peak_window_pairs = enumerator.peak_window_pairs
+    stats.windows = enumerator.windows
     if finished and enumerator.exhausted:
         stats.progress = 1.0
 
@@ -291,9 +294,11 @@ def _run_sequential(
             if expired():
                 raise SolveTimeout("time limit exceeded")
             t0 = time.perf_counter()
-            batch = enumerator.next_batch()
+            batch = enumerator.next_batch(expired)
             stats.t_enumerate += time.perf_counter() - t0
             if batch is None:
+                if expired.fired:  # the sweep stopped between windows
+                    raise SolveTimeout("time limit exceeded")
                 break
             t0 = time.perf_counter()
             sols = validate_chunked(
@@ -365,9 +370,10 @@ def pipeline_run(
 
     The bounded buffer gives backpressure at `pipeline_depth` batches in
     flight.  A stop event (first solution found, deadline, or worker
-    error) halts the producer and is polled by workers between chunk
-    pairs, as is the deadline; once it is set, workers drain the buffer
-    without validating, but never discard a solution already found.
+    error) is polled by the producer between sweep windows and by
+    workers between chunk pairs, as is the deadline; once it is set,
+    workers drain the buffer without validating, but never discard a
+    solution already found.
     Workers count the batches they validate, so with one worker the
     counts equal the sequential loop's.  In all-solutions mode only a deadline or
     an error sets the stop event, and both end the solve with an
@@ -392,7 +398,7 @@ def pipeline_run(
         try:
             while not cancelled():
                 t0 = time.perf_counter()
-                batch = enumerator.next_batch()
+                batch = enumerator.next_batch(cancelled)
                 with lock:
                     stats.t_enumerate += time.perf_counter() - t0
                 if batch is None:

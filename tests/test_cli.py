@@ -68,7 +68,7 @@ class TestSolveCommand:
             "instance", "verdict", "seconds", "solutions",
             "batches", "validate_calls", "candidates_left", "candidates_right",
             "hash_hits", "exact_hits", "max_batch_pairs", "peak_table_entries",
-            "peak_window_pairs", "progress", "t_build", "t_enumerate",
+            "peak_window_pairs", "windows", "progress", "t_build", "t_enumerate",
             "t_validate", "t_total", "fallback", "engine",
         }
 

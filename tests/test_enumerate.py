@@ -12,7 +12,9 @@ from marketsplit.enumerate1d import (
     PairSumEnumerator,
     RunBlocks,
     SumsetEnumerator,
+    _key_positions,
     _run_ends,
+    _shared_values,
     assemble_solution,
     build_quarter_tables,
     permuted_rhs,
@@ -450,6 +452,63 @@ class TestSumsetEnumerator:
             assert np.array_equal(got.right_pairs[:], expected.right_pairs[:])
             count += 1
         assert next(per_alpha, None) is None and count > 100
+
+
+_U64_MAX = 2**64 - 1
+# few distinct values, so sides tie and share values, including both
+# ends of the uint64 range
+_window_values = st.one_of(
+    st.integers(0, 3), st.integers(_U64_MAX - 3, _U64_MAX), st.integers(0, _U64_MAX)
+)
+_window_sides = st.lists(_window_values, min_size=1, max_size=60)
+
+
+def _check_window_helpers(a: list[int], b: list[int]) -> None:
+    """`_shared_values` and `_key_positions` against a dict from value to
+    ascending positions, for both sides."""
+    arrays = [np.array(side, dtype=np.uint64) for side in (a, b)]
+    orders = [x.argsort() for x in arrays]
+    sorted_a, sorted_b = (x[o] for x, o in zip(arrays, orders))
+    keys = _shared_values(sorted_a, sorted_b)
+    common = sorted(set(a) & set(b))
+    assert keys.dtype == np.uint64 and keys.tolist() == common
+    for side, order, values in zip((a, b), orders, (sorted_a, sorted_b)):
+        where: dict[int, list[int]] = {}
+        for i, v in enumerate(side):
+            where.setdefault(v, []).append(i)
+        pos, per_key = _key_positions(order, values, keys)
+        assert pos.tolist() == [i for v in common for i in where[v]]
+        assert per_key.tolist() == [len(where[v]) for v in common]
+
+
+class TestWindowHelpers:
+    """The window step: each side sorted once, the values both share,
+    and each shared value's positions in (value, position) order."""
+
+    @given(a=_window_sides, b=_window_sides)
+    @settings(max_examples=300, deadline=None)
+    def test_against_reference(self, a, b):
+        _check_window_helpers(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([7] * 1000, [7] * 3),  # heavy ties: every sum equal
+            ([0, 2, 4] * 50, [1, 3, 5] * 50),  # no common value
+            ([5], [5]),  # one-element sides
+            ([5], [6]),
+            ([_U64_MAX, 3, 0, 3, _U64_MAX, 0], [0, _U64_MAX]),  # both ends
+        ],
+    )
+    def test_edge_cases(self, a, b):
+        _check_window_helpers(a, b)
+
+    def test_more_than_2_16_common_values(self):
+        rng = np.random.default_rng(3)
+        n = (1 << 16) + 1000
+        a = rng.permutation(np.repeat(np.arange(n), 2)).tolist()
+        b = rng.permutation(n + 10).tolist()
+        _check_window_helpers(a, b)
 
 
 def _batch_sizes(batch) -> tuple[int, int]:

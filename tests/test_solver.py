@@ -298,6 +298,24 @@ class TestTimeout:
         assert stats.t_total >= 0.5
         assert 0.0 <= stats.progress <= 1.0
 
+    @pytest.mark.parametrize("depth, workers", [(1, 1), (2, 1)])
+    def test_deadline_fires_between_windows(self, depth, workers):
+        # even first-row weights and an odd d_1: no window holds an alpha,
+        # so the sweep emits no batch; its ~2000 windows take seconds
+        rng = SplitMix64(5)
+        row0 = [2 * rng.below(1 << 20) for _ in range(52)]
+        row1 = [rng.below(100) for _ in range(52)]
+        inst = MspInstance([row0, row1], [sum(row0) // 2 | 1, sum(row1) // 2])
+        cfg = SolverConfig(mode="all", pipeline_depth=depth, worker_count=workers)
+        t0 = time.perf_counter()
+        with pytest.raises(SolveTimeout) as info:
+            solve(inst, cfg, time_limit=0.2)
+        assert time.perf_counter() - t0 < 2.0
+        stats = info.value.stats
+        assert stats.batches == 0 and stats.validate_calls == 0
+        assert stats.windows >= 1 and stats.progress == 0.0
+        assert stats.t_total >= 0.2
+
     def test_no_timeout_when_fast(self):
         inst = MspInstance([[1, 2, 3], [2, 1, 3]], [3, 3])
         result = solve(inst, SolverConfig(mode="all"), time_limit=60.0)
@@ -377,6 +395,7 @@ class TestStats:
         assert s.peak_table_entries == 4 * 2**4
         assert s.engine == "python"
         assert 0 < s.peak_window_pairs <= 4 * 2**4
+        assert s.windows >= 1
         assert s.exact_hits == len(result.solutions)
         assert 1 <= s.validate_calls <= s.batches
         assert s.t_total > 0
