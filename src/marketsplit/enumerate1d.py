@@ -596,30 +596,27 @@ class _SumsetSide:
         below = np.searchsorted(self.u_in, v - self.u_fx, side="right")
         return np.where(self.u_fx <= v, below, 0)
 
-    def sums(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Sums of the pairs (x, y) with lo[y] <= x < hi[y], listed y-major."""
+    def sums(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Sums, x and y of the pairs (x, y) with lo[y] <= x < hi[y], y-major."""
         counts = hi - lo
         y = np.repeat(np.arange(len(counts)), counts)
         x = np.repeat(lo - (np.cumsum(counts) - counts), counts)
         x += np.arange(len(x))
         out = self.u_in[x]
         out += self.u_fx[y]
-        return out
+        return out, x, y
 
     def select(
-        self, order: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+        self, order: np.ndarray, values: np.ndarray, x: np.ndarray, y: np.ndarray,
         keys: np.ndarray,
     ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-        """Of the pairs listed by `sums(lo, hi)`, those whose sum is a key,
+        """Of the pairs (x, y) listed by `sums`, those whose sum is a key,
         as `RunBlocks` fields ordered by (key, fixed run); with each key's
         first block and its number of index pairs.  `values` are those
         sums sorted and `order` their list positions (an argsort), so a
         key's pairs are one range of `order`."""
         pos, per_key = _key_positions(order, values, keys)
-        counts = hi - lo
-        ends = np.cumsum(counts)
-        y = np.searchsorted(ends, pos, side="right")
-        x = lo[y] + pos - (ends[y] - counts[y])
+        x, y = x[pos], y[pos]
         fields = self.in_start[x], self.in_len[x], self.fx_start[y], self.fx_len[y]
         at = _offsets(per_key)
         pairs = np.diff(_offsets(fields[1] * fields[3])[at])
@@ -778,8 +775,9 @@ class SumsetEnumerator:
         self.peak_window_pairs = max(self.peak_window_pairs, held)
         l_lo, r_hi = self._lcount, self._rcount
         self._lo, self._lcount, self._rcount = hi + 1, lcount, rcount
-        l_sum = self._left.sums(l_lo, lcount)
-        r_alpha = np.uint64(self.target) - self._right.sums(rcount, r_hi)
+        l_sum, l_x, l_y = self._left.sums(l_lo, lcount)
+        r_alpha, r_x, r_y = self._right.sums(rcount, r_hi)
+        np.subtract(np.uint64(self.target), r_alpha, out=r_alpha)
         if not len(l_sum) or not len(r_alpha):
             return
         # each side sorted once: the alphas are the values both share,
@@ -791,12 +789,10 @@ class SumsetEnumerator:
             return
         # one side at a time, dropping each side's sums once used, so the
         # window's peak memory stays near that of its pairs
-        left, l_at, l_pairs = self._left.select(l_order, l_sum, l_lo, lcount, common)
-        del l_sum, l_order
-        right, r_at, r_pairs = self._right.select(
-            r_order, r_alpha, rcount, r_hi, common
-        )
-        del r_alpha, r_order
+        left, l_at, l_pairs = self._left.select(l_order, l_sum, l_x, l_y, common)
+        del l_sum, l_order, l_x, l_y
+        right, r_at, r_pairs = self._right.select(r_order, r_alpha, r_x, r_y, common)
+        del r_alpha, r_order, r_x, r_y
         total = _offsets(l_pairs + r_pairs)
         n = len(common)
         i = 0

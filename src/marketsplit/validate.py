@@ -33,10 +33,12 @@ scale with the chunk, not with the batch.
 `join_hashes` finds the equal-hash pairs.  It marks the low `bits` of
 the smaller side's hashes in a byte bitmap, keeps the larger side's
 hashes that land on a mark, marks those survivors and filters the
-smaller side against them, and sorts only what survives both filters to
-find exact 64-bit hits.  `bits` comes from the batch: bit_length of the
-smaller side plus 3, clamped to [10, 24], so the bitmap holds at least
-eight slots per marked hash and never exceeds 16 MiB.  Hash equality is
+smaller side against them.  One sort of both sides' survivors then
+settles it: no repeated value (almost always) means no shared hash,
+and only if one repeats are the survivors paired by exact value.
+`bits` comes from the batch: bit_length of the smaller side plus 3,
+clamped to [10, 24], so the bitmap holds at least eight slots per
+marked hash and never exceeds 16 MiB.  Hash equality is
 never trusted: every hit is confirmed by exact residual comparison and
 a full re-verification of the assembled solution, so the hash affects
 speed only.
@@ -179,8 +181,8 @@ def join_hashes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) with left[i] == right[j], ordered by j, then i.
 
-    Bitmap-prefiltered: see the module docstring.  Both inputs are
-    uint64 arrays; the outputs are aligned int64 index arrays.
+    Bitmap filters, then one sort of the survivors: see the module
+    docstring.  Inputs are uint64 arrays; outputs aligned int64 indices.
     """
     small, big = (left, right) if len(left) <= len(right) else (right, left)
     bits = min(max(len(small).bit_length() + 3, 10), 24)  # <= 16 MiB
@@ -195,36 +197,35 @@ def join_hashes(
         return big_idx, big_idx
     bitmap[small_slots] = False
     bitmap[big_slots[big_idx]] = True
+    del big_slots
     # Not empty: every surviving slot was marked by the smaller side.
     small_idx = np.flatnonzero(bitmap[small_slots])
     if small is left:
         left_idx, right_idx = small_idx, big_idx
     else:
         left_idx, right_idx = big_idx, small_idx
+    del small_slots, bitmap, small_idx, big_idx
 
-    # Hash values present on both sides.  Sorting the queries as well
-    # keeps the binary search cache-friendly.
-    left_h, right_h = left[left_idx], right[right_idx]
-    sorted_left = np.sort(left_h)
-    sorted_right = np.sort(right_h)
-    pos = np.searchsorted(sorted_left, sorted_right)
-    np.minimum(pos, len(sorted_left) - 1, out=pos)
-    common = np.unique(sorted_right[sorted_left[pos] == sorted_right])
-    left_idx = left_idx[np.isin(left_h, common)]
-    right_idx = right_idx[np.isin(right_h, common)]
+    # one sort of both sides' survivors: no repeat, no hit (the usual case)
+    both = np.empty(len(left_idx) + len(right_idx), dtype=np.uint64)
+    both[: len(left_idx)] = left[left_idx]
+    both[len(left_idx) :] = right[right_idx]
+    both.sort()
+    if not (both[1:] == both[:-1]).any():
+        return left_idx[:0], right_idx[:0]
+    del both
 
     # Pair them up in (right, left) order.
-    left_h = left[left_idx]
-    order = np.argsort(left_h, kind="stable")
-    sorted_h = left_h[order]
-    right_h = right[right_idx]
+    left_idx = left_idx[np.argsort(left[left_idx], kind="stable")]
+    sorted_h, right_h = left[left_idx], right[right_idx]
     lo = np.searchsorted(sorted_h, right_h, side="left")
-    counts = np.searchsorted(sorted_h, right_h, side="right") - lo
-    total = int(counts.sum())
+    counts = np.searchsorted(sorted_h, right_h, side="right")
+    counts -= lo
+    del sorted_h, right_h
     # Hit t of right survivor k sits at sorted position lo[k] + t.
-    first = np.cumsum(counts) - counts
-    pos = np.repeat(lo - first, counts) + np.arange(total)
-    return left_idx[order[pos]], np.repeat(right_idx, counts)
+    lo -= np.cumsum(counts) - counts
+    pos = np.repeat(lo, counts) + np.arange(int(counts.sum()))
+    return left_idx[pos], np.repeat(right_idx, counts)
 
 
 class _Backend:
@@ -533,12 +534,15 @@ def _partner_range(
 def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> int:
     """Largest chunk size whose chunk pair fits the budget.
 
-    Per pair of a chunk, each side holds an 8-byte hash and, in the join,
-    an 8-byte bitmap slot; the bitmap adds at most 16 bytes per pair of
-    the smaller side (eight slots per marked hash, rounded up to a power
-    of two), and the larger side's filter mask and survivor indices at
-    most 9 per pair.  That is at most 2 * 16 + 16 + 9 = 57 bytes, charged
-    as 64.  Hashing a side from its blocks briefly needs 16 more bytes
+    Per pair of a chunk, each side holds an 8-byte hash and, in the
+    bitmap filters, an 8-byte slot; the bitmap adds at most 16 bytes per
+    pair of the smaller side (eight slots per marked hash, rounded up to
+    a power of two), the larger side's survivor indices and the slots
+    gathered to mark them 16 more: 64.  With slots and bitmap released,
+    the tail holds survivor indices (16), their hashes concatenated (16)
+    with one side gathered (8), and the equality mask (2); pairing them
+    when a value repeats, four 8-byte arrays beside the indices: <= 64.
+    Hashing a side from its blocks briefly needs 16 more bytes
     per pair beside the hashes, which is less.  The per-block checks run
     on one chunk's blocks before the chunk is joined and need at most 33
     bytes per block, so per pair, of that chunk; beside the left chunk's

@@ -246,6 +246,38 @@ class TestJoinKernel:
             assert pairs == expected and len(pairs) == len(li)
             assert list(ri) == sorted(ri), label
 
+    def test_repeats_within_one_side_share_nothing(self):
+        # every value survives both bitmap filters (equal low bits), and
+        # the survivors' sort finds repeats, but none across the sides
+        high = np.uint64(2**40)
+        left = np.array([5, 5, 9, 9, 9, 11], dtype=np.uint64)
+        right = np.array([5, 9, 11, 11], dtype=np.uint64) + high
+        for lh, rh in ((left, right), (right, left)):
+            li, ri = join_hashes(lh, rh)
+            assert len(li) == len(ri) == 0
+            assert li.dtype == ri.dtype == np.int64
+
+    def test_one_planted_hit_among_200k(self):
+        rng = np.random.default_rng(11)
+        left = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+        right = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+        right[123_456] = left[98_765]
+        shared = np.intersect1d(left, right)
+        assert shared.tolist() == [int(left[98_765])]
+        assert (left == shared[0]).sum() == (right == shared[0]).sum() == 1
+        li, ri = join_hashes(left, right)
+        assert li.tolist() == [98_765] and ri.tolist() == [123_456]
+        assert li.dtype == ri.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_one_side_empty(self, n):
+        other = np.arange(n, dtype=np.uint64)
+        empty = np.empty(0, dtype=np.uint64)
+        for lh, rh in ((empty, other), (other, empty)):
+            li, ri = join_hashes(lh, rh)
+            assert len(li) == len(ri) == 0
+            assert li.dtype == ri.dtype == np.int64
+
 
 class TestResiduals:
     def _simple_setup(self):
