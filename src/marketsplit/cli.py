@@ -38,9 +38,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chunk-pairs", type=int, default=None, metavar="N",
                    help="validation chunk size in pairs (default: from memory budget)")
     p.add_argument("--workers", type=int, default=0, metavar="T",
-                   help="validation worker threads (0 = auto)")
+                   help="validating threads, the calling thread included; "
+                        "0 = one per CPU (default)")
     p.add_argument("--pipeline-depth", type=int, default=1, metavar="P",
-                   help="max candidate batches in flight (default 1)")
+                   help="most batches enumerated but not yet validated (default 1)")
     p.add_argument("--backend", choices=("serial", "parallel"), default="parallel",
                    help="validation backend (default parallel)")
     p.add_argument("--stats", action="store_true",

@@ -9,26 +9,29 @@ batches it holds, so `batches`, `max_batch_pairs` and `progress` read as
 they would for the heap's per-alpha stream; `validate_calls` counts the
 calls.  Tiny instances skip the table machinery entirely and go straight
 to the brute-force oracle.  Enumeration is inherently serial; validation
-can run on worker threads behind a bounded batch buffer, which
-interleaves collection and checking the way an offloaded validator
-would.
+runs on `worker_count` validators, the calling thread and helper threads,
+each of which refills a bounded batch buffer from the enumerator when it
+finds it empty and then takes the next batch.  No thread only
+enumerates, so one validator runs on the calling thread alone.
 
 First-solution mode stops as soon as one verified solution exists
 (cancellation is cooperative at chunk-pair granularity).  It returns the
-validator's first solution, which has the smallest alpha of its batch
-((right, left) order within one chunk pair), and counts no alpha past
-that one.  All-solutions mode always runs to exhaustion and its result
-set is independent of pipeline depth, worker count, backend, and chunk
-size.  Every reported solution is re-verified against the original,
-unreduced system.
+first solution of the smallest batch that has any, which has the
+smallest alpha of that batch ((right, left) order within one chunk
+pair), for every pipeline depth and worker count, and counts no alpha
+past that one.  All-solutions mode always runs to exhaustion and its
+result set is independent of pipeline depth, worker count, backend, and
+chunk size.  Every reported solution is re-verified against the
+original, unreduced system.
 """
 
 from __future__ import annotations
 
+import math
 import os
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +59,11 @@ from .validate import (
 BRUTE_FORCE_MAX_N = 12
 
 _MODES = ("first", "all")
-_SENTINEL = object()
 
 
 class _Deadline:
-    """Time-limit check, usable as `validate_chunked`'s `should_stop`.
-    It stays fired, so a caller can tell that a batch was abandoned."""
+    """Time-limit check, polled by the run loop's stop test.  It stays
+    fired, so the caller can tell that work was abandoned."""
 
     def __init__(self, at: float | None):
         self.at, self.fired = at, False
@@ -79,8 +81,11 @@ class SolverConfig:
     mode: "first" returns on the first verified solution, "all" runs to
     exhaustion.  reduce_rows r merges the first r constraint rows into
     one before solving (1 = no reduction).  chunk_pairs None sizes chunks
-    from memory_budget_bytes.  worker_count 0 picks a value from the CPU
-    count.
+    from memory_budget_bytes.  worker_count is the number of validating
+    threads, the calling thread included; 0 means one per CPU.
+    pipeline_depth bounds the batches enumerated but not yet validated:
+    a validator that finds the buffer empty refills it with up to that
+    many.
     """
 
     mode: str = "first"
@@ -110,7 +115,14 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
-    """Counters and timings of one solve (fields are listed in README)."""
+    """Counters and timings of one solve (fields are listed in README).
+
+    With one validator every counter is independent of thread timing.
+    With several, `batches`, `max_batch_pairs` and `progress` still count
+    no alpha past the solving one, but `windows`, the candidate counts
+    and the other validation counters may include work on batches past
+    it that a validator swept or checked before the solution was found.
+    """
 
     batches: int = 0
     validate_calls: int = 0
@@ -176,12 +188,6 @@ class SolveResult:
         return self.verdict == "feasible"
 
 
-def _resolve_workers(count: int) -> int:
-    if count > 0:
-        return count
-    return max(1, (os.cpu_count() or 1) - 1)
-
-
 def solve(
     inst: MspInstance,
     cfg: SolverConfig | None = None,
@@ -234,20 +240,14 @@ def solve(
     chunk = cfg.chunk_pairs or default_chunk_pairs(work.m, cfg.memory_budget_bytes)
     enumerator = SumsetEnumerator(tables, target)
     stats.engine = "python"
-    workers = _resolve_workers(cfg.worker_count)
+    workers = cfg.worker_count or os.cpu_count() or 1
 
     try:
         if deadline is not None and time.perf_counter() > deadline:
             raise SolveTimeout(f"time limit of {time_limit}s exceeded")
-        if cfg.pipeline_depth == 1 and workers == 1:
-            found = _run_sequential(
-                enumerator, tables, work, inst, cfg, chunk, d_perm, stats, deadline
-            )
-        else:
-            found = pipeline_run(
-                enumerator, tables, work, inst, cfg, chunk, d_perm, stats,
-                deadline, workers,
-            )
+        found = _run(
+            enumerator, tables, work, inst, cfg, chunk, d_perm, stats, deadline, workers
+        )
     except SolveTimeout as exc:
         _enumerator_stats(stats, enumerator, finished=False)
         stats.t_total = time.perf_counter() - t_start
@@ -282,44 +282,6 @@ def _check_verified(original: MspInstance, sols) -> None:
             )
 
 
-def _run_sequential(
-    enumerator, tables, work, original, cfg, chunk, d_perm, stats, deadline
-) -> list[SolutionVector]:
-    backend = get_backend(cfg.backend)
-    vstats = ValidationStats()
-    expired = _Deadline(deadline)
-    found: list[SolutionVector] = []
-    try:
-        while True:
-            if expired():
-                raise SolveTimeout("time limit exceeded")
-            t0 = time.perf_counter()
-            batch = enumerator.next_batch(expired)
-            stats.t_enumerate += time.perf_counter() - t0
-            if batch is None:
-                if expired.fired:  # the sweep stopped between windows
-                    raise SolveTimeout("time limit exceeded")
-                break
-            t0 = time.perf_counter()
-            sols = validate_chunked(
-                batch, tables, work, chunk, backend, d_perm, vstats,
-                should_stop=expired,
-            )
-            stats.t_validate += time.perf_counter() - t0
-            last_alpha = _solving_alpha(cfg, work, tables, sols)
-            _count_batch(stats, batch, enumerator.target, last_alpha)
-            if expired.fired:  # the batch was abandoned part way
-                raise SolveTimeout("time limit exceeded")
-            _check_verified(original, sols)
-            found.extend(sols)
-            if cfg.mode == "first" and found:
-                break
-            del batch  # released before the next one is built
-    finally:
-        _merge_vstats(stats, vstats)
-    return found
-
-
 def _solving_alpha(cfg: SolverConfig, work: MspInstance, tables, sols) -> int | None:
     """In first mode, the alpha (left weight) of a validated batch's first
     solution, which has the smallest alpha of the batch's solutions."""
@@ -329,21 +291,17 @@ def _solving_alpha(cfg: SolverConfig, work: MspInstance, tables, sols) -> int | 
     return sum(int(work.a[0, c]) for c in cols if sols[0][c])
 
 
-def _count_batch(stats: SolveStats, batch, target: int, last_alpha: int | None) -> None:
-    """Count a validated batch per alpha, as the batches of a per-alpha
+def _batch_counts(batch, last_alpha: int | None) -> tuple[int, int, int]:
+    """A validated batch counted per alpha, as the batches of a per-alpha
     stream would count, but no alpha past `last_alpha` (the solving one,
-    where a first-solution solve stops)."""
+    where a first-solution solve stops): the alphas, the most pairs of
+    one alpha and the last alpha."""
     alphas, l_at, r_at = batch.spans()
     k = len(alphas)
     if last_alpha is not None:
         k = int(alphas.searchsorted(last_alpha, side="right"))
-    stats.batches += k
     pairs = l_at[: k + 1] + r_at[: k + 1]  # both sides' pairs before each alpha
-    stats.max_batch_pairs = max(stats.max_batch_pairs, int(np.diff(pairs).max()))
-    # alpha only grows along the sweep; with several workers batches may
-    # finish out of order, so keep the largest
-    last = int(alphas[k - 1])
-    stats.progress = max(stats.progress, last / target if target else 1.0)
+    return k, int(np.diff(pairs).max()), int(alphas[k - 1])
 
 
 def _merge_vstats(stats: SolveStats, vstats: ValidationStats) -> None:
@@ -354,7 +312,7 @@ def _merge_vstats(stats: SolveStats, vstats: ValidationStats) -> None:
     stats.validate_calls += vstats.calls
 
 
-def pipeline_run(
+def _run(
     enumerator,
     tables,
     work: MspInstance,
@@ -366,128 +324,102 @@ def pipeline_run(
     deadline: float | None,
     workers: int,
 ) -> list[SolutionVector]:
-    """Producer/consumer pipeline: one enumerator, N validation workers.
+    """Validate the sweep's batches on `workers` validators: the calling
+    thread and `workers - 1` helper threads.  No thread only enumerates.
 
-    The bounded buffer gives backpressure at `pipeline_depth` batches in
-    flight.  A stop event (first solution found, deadline, or worker
-    error) is polled by the producer between sweep windows and by
-    workers between chunk pairs, as is the deadline; once it is set,
-    workers drain the buffer without validating, but never discard a
-    solution already found.
-    Workers count the batches they validate, so with one worker the
-    counts equal the sequential loop's.  In all-solutions mode only a deadline or
-    an error sets the stop event, and both end the solve with an
-    exception, so an abandoned batch is never reported as exhausted.
+    A validator that finds the buffer empty refills it, under one lock,
+    with up to `pipeline_depth` batches, then takes one; so the depth
+    bounds the batches enumerated but not yet validated, and one
+    validator starts no thread at any depth.  Batches are numbered in
+    sweep order and taken in that order.  In first mode, solutions in
+    batch k stop the batches after k and let those before k finish; the
+    solutions returned first are those of the smallest batch that has
+    any, as with one validator, and no alpha past the solving one is
+    counted.  The deadline and the first exception stop every validator
+    at its next poll (between chunk pairs, and between sweep windows
+    while refilling); the caller joins its helpers and raises.
     """
-    buffer: queue.Queue = queue.Queue(maxsize=cfg.pipeline_depth)
-    stop = threading.Event()
-    lock = threading.Lock()
+    expired = _Deadline(deadline)
+    fill, lock = threading.Lock(), threading.Lock()
+    buffer: deque = deque()
+    numbered = 0  # batches enumerated so far
+    solved: float = math.inf  # first mode: the smallest batch with solutions
+    counts: list[tuple[int, tuple[int, int, int]]] = []
     results: list[tuple[int, list[SolutionVector]]] = []
     errors: list[BaseException] = []
-    timed_out = threading.Event()
-    expired = _Deadline(deadline)
 
-    def cancelled() -> bool:
-        if expired():
-            timed_out.set()
-            stop.set()
-        return stop.is_set()
+    def stopped(seq: float = math.inf) -> bool:
+        """Batch `seq` is dropped: a smaller batch has solutions, an error
+        was raised, or the deadline passed.  Without `seq` (refilling),
+        any batch with solutions stops the sweep."""
+        return seq > solved or bool(errors) or expired()
 
-    def producer() -> None:
-        seq = 0
-        try:
-            while not cancelled():
+    def take():
+        nonlocal numbered
+        with fill:
+            if not buffer:
                 t0 = time.perf_counter()
-                batch = enumerator.next_batch(cancelled)
-                with lock:
-                    stats.t_enumerate += time.perf_counter() - t0
-                if batch is None:
-                    break
-                item = (seq, batch)
-                seq += 1
-                while not stop.is_set():
-                    try:
-                        buffer.put(item, timeout=0.05)
+                while len(buffer) < cfg.pipeline_depth and not stopped():
+                    batch = enumerator.next_batch(stopped)
+                    if batch is None:
                         break
-                    except queue.Full:
-                        continue
-        except BaseException as exc:  # propagate to the caller
-            with lock:
-                errors.append(exc)
-            stop.set()
-        finally:
-            for _ in range(workers):
-                while True:
-                    try:
-                        buffer.put(_SENTINEL, timeout=0.05)
-                        break
-                    except queue.Full:
-                        if stop.is_set():
-                            # workers are gone or leaving; drop the sentinel
-                            break
+                    buffer.append((numbered, batch))
+                    numbered += 1
+                stats.t_enumerate += time.perf_counter() - t0  # written under fill only
+            if stopped():  # what is left follows the solving batch, or the solve ends
+                buffer.clear()
+            return buffer.popleft() if buffer else None
 
-    def worker() -> None:
+    def validate(seq: int, batch, backend, vstats: ValidationStats) -> None:
+        nonlocal solved
+        t0 = time.perf_counter()
+        sols = validate_chunked(
+            batch, tables, work, chunk, backend, d_perm, vstats,
+            should_stop=lambda: stopped(seq),
+        )
+        elapsed = time.perf_counter() - t0
+        counted = _batch_counts(batch, _solving_alpha(cfg, work, tables, sols))
+        _check_verified(original, sols)
+        with lock:
+            stats.t_validate += elapsed
+            counts.append((seq, counted))
+            if sols:
+                results.append((seq, sols))
+                if cfg.mode == "first":
+                    solved = min(solved, seq)
+
+    def validator(vstats: ValidationStats) -> None:
         backend = get_backend(cfg.backend)
-        vstats = ValidationStats()
         try:
-            while True:
-                cancelled()
-                try:
-                    item = buffer.get(timeout=0.05)
-                except queue.Empty:
-                    if stop.is_set():
-                        break
-                    continue
-                if item is _SENTINEL:
-                    break
-                if stop.is_set():  # drain unvalidated, so the producer ends
-                    continue
-                seq, batch = item
-                t0 = time.perf_counter()
-                sols = validate_chunked(
-                    batch,
-                    tables,
-                    work,
-                    chunk,
-                    backend,
-                    d_perm,
-                    vstats,
-                    should_stop=cancelled,
-                )
-                last_alpha = _solving_alpha(cfg, work, tables, sols)
-                with lock:
-                    stats.t_validate += time.perf_counter() - t0
-                    _count_batch(stats, batch, enumerator.target, last_alpha)
-                if sols:
-                    _check_verified(original, sols)
-                    with lock:
-                        results.append((seq, sols))
-                    if cfg.mode == "first":
-                        stop.set()
-        except BaseException as exc:
+            while (item := take()) is not None:
+                validate(*item, backend, vstats)
+                del item  # released before the next refill
+        except BaseException as exc:  # stops every validator; the caller raises it
             with lock:
                 errors.append(exc)
-            stop.set()
-        finally:
-            with lock:
-                _merge_vstats(stats, vstats)
 
-    threads = [threading.Thread(target=producer, name="enumerate", daemon=True)]
-    threads += [
-        threading.Thread(target=worker, name=f"validate-{i}", daemon=True)
-        for i in range(workers)
+    vstats = [ValidationStats() for _ in range(workers)]
+    helpers = [
+        threading.Thread(target=validator, args=(v,), name=f"validate-{i}", daemon=True)
+        for i, v in enumerate(vstats[1:], 1)
     ]
-    for t in threads:
+    for t in helpers:
         t.start()
-    for t in threads:
+    validator(vstats[0])
+    for t in helpers:
         t.join()
 
+    for v in vstats:
+        _merge_vstats(stats, v)
+    target = enumerator.target
+    for seq, (k, pairs, last) in counts:
+        if seq <= solved:
+            stats.batches += k
+            stats.max_batch_pairs = max(stats.max_batch_pairs, pairs)
+            stats.progress = max(stats.progress, last / target if target else 1.0)
     if errors:
         raise errors[0]
-    if timed_out.is_set():
+    if expired.fired:
         raise SolveTimeout("time limit exceeded")
     results.sort(key=lambda item: item[0])
-    found: list[SolutionVector] = []
-    for _, sols in results:
-        found.extend(sols)
-    return found
+    return [x for _, sols in results for x in sols]

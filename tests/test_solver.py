@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -152,20 +153,88 @@ class TestPipeline:
                 assert got.solutions == reference.solutions, (seed, depth, workers)
                 assert got.stats.batches == reference.stats.batches
 
-    def test_first_mode_pipelined(self):
+    def test_first_mode_pipelined(self, monkeypatch):
+        # a pair budget down to the window cap splits each n = 20 sweep
+        # into 13-16 batches, most of them holding solutions, so
+        # validators running side by side can solve a later batch first
+        monkeypatch.setattr(enumerate1d, "BATCH_PAIRS", 1)
+        instances = [seeded_instance(seed, m=2, n=14, k=6) for seed in range(10)]
+        instances += [seeded_instance(seed, m=2, n=20, k=100) for seed in range(4)]
         feasible = 0
-        for seed in range(10):
-            inst = seeded_instance(seed, m=2, n=14, k=6)
-            got = solve(
-                inst, SolverConfig(mode="first", pipeline_depth=4, worker_count=2)
-            )
-            expected = brute_force_all(inst)
-            if expected:
-                feasible += 1
-                assert got.feasible and got.solutions[0] in expected
-            else:
-                assert not got.feasible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+        try:
+            for inst in instances:
+                runs = [
+                    solve(
+                        inst,
+                        SolverConfig(
+                            mode="first", pipeline_depth=depth, worker_count=workers
+                        ),
+                    )
+                    for depth, workers in ((1, 1), (4, 1), (1, 2), (4, 3))
+                ]
+                expected = brute_force_all(inst)
+                if expected:
+                    feasible += 1
+                    assert runs[0].feasible and runs[0].solutions[0] in expected
+                else:
+                    assert not runs[0].feasible
+                # the smallest alpha, counted up to it, whoever validates
+                for got in runs[1:]:
+                    assert got.solutions == runs[0].solutions
+                    assert (got.stats.batches, got.stats.max_batch_pairs) == (
+                        runs[0].stats.batches,
+                        runs[0].stats.max_batch_pairs,
+                    )
+                    assert got.stats.progress == runs[0].stats.progress
+        finally:
+            sys.setswitchinterval(interval)
         assert feasible > 0
+
+    def test_one_validator_counts_repeat(self):
+        # one validator refilling a depth-4 buffer sweeps ahead of the
+        # solving batch by the same windows every time, even while
+        # another solve runs beside it
+        inst = generate_instance(5, 100, 18)
+        cfg = SolverConfig(
+            mode="first", reduce_rows=3, pipeline_depth=4, worker_count=1
+        )
+        fields = (
+            "windows",
+            "batches",
+            "validate_calls",
+            "candidates_left",
+            "candidates_right",
+        )
+        alone = solve(inst, cfg).stats
+        beside = threading.Thread(target=solve, args=(inst, cfg), daemon=True)
+        beside.start()
+        shared = solve(inst, cfg).stats
+        beside.join(timeout=30.0)
+        assert not beside.is_alive()
+        assert [getattr(alone, f) for f in fields] == [
+            getattr(shared, f) for f in fields
+        ]
+        # it swept ahead, but validated nothing past the solving batch
+        depth1 = SolverConfig(mode="first", reduce_rows=3, worker_count=1)
+        one = solve(inst, depth1).stats
+        assert alone.windows > one.windows
+        assert [getattr(alone, f) for f in fields[1:]] == [
+            getattr(one, f) for f in fields[1:]
+        ]
+
+    def test_one_validator_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-validator solve started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        inst = seeded_instance(0, m=2, n=16, k=8)
+        for mode in ("first", "all"):
+            cfg = SolverConfig(mode=mode, pipeline_depth=4, worker_count=1)
+            got = solve(inst, cfg)
+            assert got.feasible and got.stats.batches > 1
+        assert got.solutions == brute_force_all(inst)
 
     def test_first_mode_stops_early(self):
         # a feasible instance whose first solution appears before exhaustion
@@ -215,7 +284,7 @@ class TestWindowBatchesThroughSolver:
     alphas; a first-solution solve must still read like the per-alpha
     loop."""
 
-    @pytest.mark.parametrize("depth", [1, 4], ids=["sequential", "pipeline_run"])
+    @pytest.mark.parametrize("depth", [1, 4])
     def test_first_mode_reduced_equals_per_alpha_loop(self, depth):
         # feasible instances whose solving alpha sits in a batch before
         # other alphas: first of 8 and of 13 (m = 3), and 4,596th of
@@ -281,7 +350,7 @@ class TestTimeout:
         row = [rng.below(100) for _ in range(32)]
         return MspInstance([[0] * 32, row], [0, sum(row) // 2])
 
-    @pytest.mark.parametrize("depth, workers", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("depth, workers", [(1, 1), (2, 1), (2, 2)])
     def test_deadline_fires_inside_one_batch(self, depth, workers):
         inst = self._one_big_batch()
         cfg = SolverConfig(
@@ -298,7 +367,7 @@ class TestTimeout:
         assert stats.t_total >= 0.5
         assert 0.0 <= stats.progress <= 1.0
 
-    @pytest.mark.parametrize("depth, workers", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("depth, workers", [(1, 1), (2, 1), (2, 2)])
     def test_deadline_fires_between_windows(self, depth, workers):
         # even first-row weights and an odd d_1: no window holds an alpha,
         # so the sweep emits no batch; its ~2000 windows take seconds
@@ -328,8 +397,8 @@ class _Injected(Exception):
 
 class TestErrorsEscape:
     """An exception in the enumerator or in a validation call ends the
-    solve with that exception, from the sequential loop and from
-    `pipeline_run`, and leaves no thread behind."""
+    solve with that exception, whether it is raised on the calling
+    thread or on a helper, and leaves no thread behind."""
 
     @staticmethod
     def _fail_on_second_call(fn):
@@ -345,7 +414,7 @@ class TestErrorsEscape:
 
         return wrapped
 
-    @pytest.mark.parametrize("depth, workers", [(1, 1), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("depth, workers", [(1, 1), (4, 1), (1, 2), (4, 2)])
     @pytest.mark.parametrize("where", ["validate", "enumerate"])
     def test_error_propagates(self, monkeypatch, where, depth, workers):
         # a pair budget down to the window cap (4 * 2^5 pairs) splits the
