@@ -19,24 +19,25 @@ run) blocks -- a B run with an A run, or a D run with a C run -- held as
 else expands them to index pairs only a slice at a time.
 
 `SumsetEnumerator` is the one enumerator `solve()` runs.  It sweeps
-alpha in windows over the distinct-weight sumsets uA + uB and
-d_1 - (uC + uD): per window, a vectorized `searchsorted` lists the
-distinct-weight pairs whose sums fall in it, and each side's sums are
-sorted once.  The values both sorted sides share are the window's
-alphas, and each alpha's pairs are one contiguous range of its side's
-sorted order; only those pairs are re-sorted, by (alpha, position), to
-list them fixed-major.  Windows are cut so neither side holds more than
-4 * 2^(n/4) distinct-weight pairs; a single alpha never needs more than
-min(|uA|, |uB|), so the cut always exists.  The alphas then leave in
-pair-budgeted batches: consecutive alphas, in sweep order and across
-window boundaries, are grouped while the group holds at most
-`batch_pairs` = max(window cap, `BATCH_PAIRS`) index pairs, and an
-alpha larger than that leaves alone.  A group is closed when its next
-alpha would overflow it, or when the sweep ends.  Its sides are
-`RunBlocks` built once from its windows' blocks, with the sorted alphas
-and each alpha's left and right pair edges (block boundaries), so the
-validator checks the whole group in one join.  Split per alpha
-(`CandidateBatch.per_alpha`), both enumerators give the same stream.
+alpha in windows [lo, hi] over the distinct-weight sumsets uA + uB and
+d_1 - (uC + uD).  Per window, a vectorized `searchsorted` lists the
+distinct-weight pairs whose sums fall in it, and each side's keys
+((sum - lo) << s) | list position get one plain sort (s: the larger
+side's position bits).  The values both sides share are the window's
+alphas, and each alpha's positions are one range of its side's keys,
+already fixed-major.  Windows are cut so neither side holds more than
+4 * 2^(n/4) distinct-weight pairs (one alpha never needs more than
+min(|uA|, |uB|)) and hi - lo < 2^(64 - that cap's bit length), so every
+key is exact.  The alphas then leave in pair-budgeted batches:
+consecutive alphas, in sweep order and across window boundaries, are
+grouped while the group holds at most `batch_pairs` = max(window cap,
+`BATCH_PAIRS`) index pairs, and an alpha larger than that leaves alone.
+A group is closed when its next alpha would overflow it, or when the
+sweep ends.  Its sides are `RunBlocks` built once from its windows'
+blocks, with the sorted alphas and each alpha's left and right pair
+edges (block boundaries), so the validator checks the whole group in
+one join.  Split per alpha (`CandidateBatch.per_alpha`), both
+enumerators give the same stream.
 
 `PairSumEnumerator` is the paper's heap formulation, kept as the
 reference the sumset sweep is tested against.  H1 is a min-heap holding
@@ -607,15 +608,14 @@ class _SumsetSide:
         return out, x, y
 
     def select(
-        self, order: np.ndarray, values: np.ndarray, x: np.ndarray, y: np.ndarray,
-        keys: np.ndarray,
+        self, keys: np.ndarray, values: np.ndarray, s: int, x: np.ndarray,
+        y: np.ndarray, common: np.ndarray,
     ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-        """Of the pairs (x, y) listed by `sums`, those whose sum is a key,
-        as `RunBlocks` fields ordered by (key, fixed run); with each key's
-        first block and its number of index pairs.  `values` are those
-        sums sorted and `order` their list positions (an argsort), so a
-        key's pairs are one range of `order`."""
-        pos, per_key = _key_positions(order, values, keys)
+        """Of the pairs (x, y) listed by `sums`, those whose sum is in
+        `common`, as `RunBlocks` fields ordered by (sum, fixed run); with
+        each common sum's first block and its number of index pairs.
+        `keys` and `values` are as `_packed_positions` takes them."""
+        pos, per_key = _packed_positions(keys, values, s, common)
         x, y = x[pos], y[pos]
         fields = self.in_start[x], self.in_len[x], self.fx_start[y], self.fx_len[y]
         at = _offsets(per_key)
@@ -641,26 +641,19 @@ def _shared_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return both[1:][both[1:] == both[:-1]]
 
 
-def _key_positions(
-    order: np.ndarray, values: np.ndarray, keys: np.ndarray
+def _packed_positions(
+    keys: np.ndarray, values: np.ndarray, s: int, common: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the entries equal to some key, ordered by (key,
-    position), and their count per key.  `values` is an array sorted
-    ascending, `order` the positions its entries had (an argsort of the
-    unsorted array); `keys` is sorted and unique."""
-    start = values.searchsorted(keys)
-    per_key = values.searchsorted(keys, side="right") - start
-    n = len(values)
-    # each key's entries are one range of the sorted order; only these
-    # hits are re-sorted, by (key rank, position)
-    rank_n = np.repeat(np.arange(0, len(keys) * n, n), per_key)
+    """Positions of the sorted keys (value << s) | position whose value
+    (in `values`) is in `common` (sorted, unique), in (value, position)
+    order, and their count per common value."""
+    start = values.searchsorted(common)
+    per_key = values.searchsorted(common, side="right") - start
     at = np.repeat(start - (np.cumsum(per_key) - per_key), per_key)
     at += np.arange(len(at))
-    key = order[at]
-    key += rank_n
-    key.sort()
-    key -= rank_n
-    return key, per_key
+    pos = keys[at]
+    pos &= np.uint64((1 << s) - 1)
+    return pos.view(np.int64), per_key
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -745,9 +738,11 @@ class SumsetEnumerator:
 
     def _cut(self) -> tuple[int, tuple[int, np.ndarray, np.ndarray]]:
         """A window end hi >= lo whose sides hold at most `window_pairs`
-        pairs, aiming for more than half that.  Starts from the last
-        window's width; doubles, then bisects."""
-        lo, end, cap = self._lo, self._end, self.window_pairs
+        pairs, aiming for more than half that, with hi - lo < 2^(64 -
+        window_pairs.bit_length()) so its packed keys are exact.  Starts
+        from the last window's width; doubles, then bisects."""
+        lo, cap = self._lo, self.window_pairs
+        end = min(self._end, lo + (1 << (64 - cap.bit_length())) - 1)
         low, probe = lo - 1, None  # largest end known to fit
         high = None  # smallest end known not to fit
         hi = min(lo + self._width - 1, end)
@@ -773,26 +768,33 @@ class SumsetEnumerator:
         hi, (held, lcount, rcount) = self._cut()
         self.windows += 1
         self.peak_window_pairs = max(self.peak_window_pairs, held)
-        l_lo, r_hi = self._lcount, self._rcount
+        lo, l_lo, r_hi = self._lo, self._lcount, self._rcount
         self._lo, self._lcount, self._rcount = hi + 1, lcount, rcount
-        l_sum, l_x, l_y = self._left.sums(l_lo, lcount)
-        r_alpha, r_x, r_y = self._right.sums(rcount, r_hi)
-        np.subtract(np.uint64(self.target), r_alpha, out=r_alpha)
-        if not len(l_sum) or not len(r_alpha):
+        l_key, l_x, l_y = self._left.sums(l_lo, lcount)
+        r_key, r_x, r_y = self._right.sums(rcount, r_hi)
+        if not len(l_key) or not len(r_key):
             return
-        # each side sorted once: the alphas are the values both share,
-        # and each alpha's pairs one range of its side's sorted order
-        l_order, r_order = l_sum.argsort(), r_alpha.argsort()
-        l_sum, r_alpha = l_sum[l_order], r_alpha[r_order]
+        # one plain sort of each side's keys ((sum - lo) << s) | position:
+        # the alphas are the values both share, each one's positions a range
+        s = max(len(l_key), len(r_key)).bit_length()
+        assert hi - lo < 1 << (64 - s), "window too wide for its packed keys"
+        l_key -= np.uint64(lo)
+        np.subtract(np.uint64(self.target - lo), r_key, out=r_key)
+        for key in (l_key, r_key):
+            key <<= np.uint64(s)
+            key |= np.arange(len(key), dtype=np.uint64)
+            key.sort()
+        l_sum, r_alpha = l_key >> np.uint64(s), r_key >> np.uint64(s)
         common = _shared_values(l_sum, r_alpha)
         if not len(common):
             return
-        # one side at a time, dropping each side's sums once used, so the
+        # one side at a time, dropping each side's keys once used, so the
         # window's peak memory stays near that of its pairs
-        left, l_at, l_pairs = self._left.select(l_order, l_sum, l_x, l_y, common)
-        del l_sum, l_order, l_x, l_y
-        right, r_at, r_pairs = self._right.select(r_order, r_alpha, r_x, r_y, common)
-        del r_alpha, r_order, r_x, r_y
+        left, l_at, l_pairs = self._left.select(l_key, l_sum, s, l_x, l_y, common)
+        del l_key, l_sum, l_x, l_y
+        right, r_at, r_pairs = self._right.select(r_key, r_alpha, s, r_x, r_y, common)
+        del r_key, r_alpha, r_x, r_y
+        common += np.uint64(lo)
         total = _offsets(l_pairs + r_pairs)
         n = len(common)
         i = 0

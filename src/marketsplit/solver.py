@@ -32,7 +32,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -143,25 +143,9 @@ class SolveStats:
     engine: str = "none"
 
     def as_dict(self) -> dict:
-        return {
-            "batches": self.batches,
-            "validate_calls": self.validate_calls,
-            "candidates_left": self.candidates_left,
-            "candidates_right": self.candidates_right,
-            "hash_hits": self.hash_hits,
-            "exact_hits": self.exact_hits,
-            "max_batch_pairs": self.max_batch_pairs,
-            "peak_table_entries": self.peak_table_entries,
-            "peak_window_pairs": self.peak_window_pairs,
-            "windows": self.windows,
-            "progress": round(self.progress, 6),
-            "t_build": round(self.t_build, 6),
-            "t_enumerate": round(self.t_enumerate, 6),
-            "t_validate": round(self.t_validate, 6),
-            "t_total": round(self.t_total, 6),
-            "fallback": self.fallback,
-            "engine": self.engine,
-        }
+        """Every field in declaration order, times and progress rounded."""
+        fields = asdict(self).items()
+        return {k: round(v, 6) if isinstance(v, float) else v for k, v in fields}
 
 
 class SolveTimeout(Exception):
@@ -330,14 +314,16 @@ def _run(
     A validator that finds the buffer empty refills it, under one lock,
     with up to `pipeline_depth` batches, then takes one; so the depth
     bounds the batches enumerated but not yet validated, and one
-    validator starts no thread at any depth.  Batches are numbered in
-    sweep order and taken in that order.  In first mode, solutions in
-    batch k stop the batches after k and let those before k finish; the
-    solutions returned first are those of the smallest batch that has
-    any, as with one validator, and no alpha past the solving one is
-    counted.  The deadline and the first exception stop every validator
-    at its next poll (between chunk pairs, and between sweep windows
-    while refilling); the caller joins its helpers and raises.
+    validator starts no thread at any depth.  The helpers start when the
+    second batch is enumerated, so a one-batch sweep starts none.
+    Batches are numbered in sweep order and taken in that order.  In
+    first mode, solutions in batch k stop the batches after k and let
+    those before k finish; the solutions returned first are those of the
+    smallest batch that has any, as with one validator, and no alpha past
+    the solving one is counted.  The deadline and the first exception
+    stop every validator at its next poll (between chunk pairs, and
+    between sweep windows while refilling); the caller joins its helpers
+    and raises.
     """
     expired = _Deadline(deadline)
     fill, lock = threading.Lock(), threading.Lock()
@@ -354,11 +340,11 @@ def _run(
         any batch with solutions stops the sweep."""
         return seq > solved or bool(errors) or expired()
 
-    def take():
+    def take(start_helpers=None):
         nonlocal numbered
         with fill:
             if not buffer:
-                t0 = time.perf_counter()
+                t0, before = time.perf_counter(), numbered
                 while len(buffer) < cfg.pipeline_depth and not stopped():
                     batch = enumerator.next_batch(stopped)
                     if batch is None:
@@ -366,6 +352,8 @@ def _run(
                     buffer.append((numbered, batch))
                     numbered += 1
                 stats.t_enumerate += time.perf_counter() - t0  # written under fill only
+                if start_helpers and before < 2 <= numbered:  # a second batch
+                    start_helpers()
             if stopped():  # what is left follows the solving batch, or the solve ends
                 buffer.clear()
             return buffer.popleft() if buffer else None
@@ -388,24 +376,29 @@ def _run(
                 if cfg.mode == "first":
                     solved = min(solved, seq)
 
-    def validator(vstats: ValidationStats) -> None:
+    def validator(vstats: ValidationStats, start_helpers=None) -> None:
         backend = get_backend(cfg.backend)
         try:
-            while (item := take()) is not None:
+            while (item := take(start_helpers)) is not None:
                 validate(*item, backend, vstats)
                 del item  # released before the next refill
         except BaseException as exc:  # stops every validator; the caller raises it
             with lock:
                 errors.append(exc)
 
+    def start_helpers() -> None:
+        """Passed to `take`, not named in it: no closure cycle keeps a
+        finished solve's tables alive until a garbage collection."""
+        for i, v in enumerate(vstats[1:], 1):
+            t = threading.Thread(
+                target=validator, args=(v,), name=f"validate-{i}", daemon=True
+            )
+            t.start()
+            helpers.append(t)
+
     vstats = [ValidationStats() for _ in range(workers)]
-    helpers = [
-        threading.Thread(target=validator, args=(v,), name=f"validate-{i}", daemon=True)
-        for i, v in enumerate(vstats[1:], 1)
-    ]
-    for t in helpers:
-        t.start()
-    validator(vstats[0])
+    helpers: list[threading.Thread] = []
+    validator(vstats[0], start_helpers)
     for t in helpers:
         t.join()
 

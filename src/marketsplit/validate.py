@@ -121,10 +121,6 @@ class EncodedSet:
     hashes: np.ndarray
     order: np.ndarray | None = None
 
-    @property
-    def is_sorted(self) -> bool:
-        return self.order is not None
-
 
 def sort_encoded(enc: EncodedSet) -> EncodedSet:
     """Stable sort by hash value, carrying original indices alongside."""

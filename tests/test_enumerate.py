@@ -12,7 +12,7 @@ from marketsplit.enumerate1d import (
     PairSumEnumerator,
     RunBlocks,
     SumsetEnumerator,
-    _key_positions,
+    _packed_positions,
     _run_ends,
     _shared_values,
     assemble_solution,
@@ -22,6 +22,7 @@ from marketsplit.enumerate1d import (
 )
 from marketsplit.instances import (
     MspInstance,
+    SplitMix64,
     generate_instance,
     surrogate_reduce,
 )
@@ -432,6 +433,57 @@ class TestSumsetEnumerator:
             assert enum.exhausted
             assert 0 < enum.peak_window_pairs <= sum(t.size for t in tables)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [8, 13, 16])
+    @pytest.mark.parametrize("spread", ["clustered", "uniform"])
+    def test_packed_key_clamp(self, monkeypatch, m, n, spread):
+        # first-row weights near 2^58..2^60: the alpha range is far wider
+        # than the packed keys' value range, so only the clamp in `_cut`
+        # keeps them exact; clustered weights tie, so one alpha can hold
+        # several distinct-weight pairs per side
+        rng = SplitMix64(1000 * n + m)
+        if spread == "clustered":
+            first = [(1 << 59) + rng.below(2) for _ in range(n)]
+        else:
+            first = [(1 << 58) + rng.below(3 << 58) for _ in range(n)]
+        rows = [first] + [[rng.below(100) for _ in range(n)] for _ in range(m - 1)]
+        # a planted solution: every other column
+        inst = MspInstance(rows, [sum(row[::2]) for row in rows])
+        windows = []
+        cut = SumsetEnumerator._cut
+
+        def recording_cut(self):
+            hi, probe = cut(self)
+            windows.append((self._lo, hi, probe[0]))
+            return hi, probe
+
+        monkeypatch.setattr(SumsetEnumerator, "_cut", recording_cut)
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        expected = batch_stream(PairSumEnumerator(tables, target))
+        assert expected
+        for window in (None, 1):
+            windows.clear()
+            enum = SumsetEnumerator(tables, target, window)
+            assert batch_stream(enum) == expected
+            bound = 1 << (64 - enum.window_pairs.bit_length())
+            widths = [hi - lo + 1 for lo, hi, _ in windows]
+            assert max(widths) <= bound
+            if window is None:  # the clamp binds
+                assert max(widths) == bound
+        if spread == "clustered":  # window 1: an alpha over the cap alone
+            assert any(lo == hi and held > 1 for lo, hi, held in windows)
+
+    def test_no_common_alpha(self):
+        # even first-row weights, odd d_1: windows hold pairs on both
+        # sides but never a shared alpha
+        rng = SplitMix64(21)
+        rows = [[2 + 2 * rng.below(4999) for _ in range(24)] for _ in range(2)]
+        inst = MspInstance(rows, [sum(rows[0]) // 2 | 1, sum(rows[1]) // 2])
+        enum = SumsetEnumerator(build_quarter_tables(inst), int(inst.d[0]))
+        assert enum.next_batch() is None and enum.exhausted
+        assert enum.windows > 1 and enum.peak_window_pairs > 0
+
     def test_stream_equals_heap_at_n40(self):
         inst = generate_instance(5, 100, 1)
         tables = build_quarter_tables(inst)
@@ -454,36 +506,42 @@ class TestSumsetEnumerator:
         assert next(per_alpha, None) is None and count > 100
 
 
-_U64_MAX = 2**64 - 1
 # few distinct values, so sides tie and share values, including both
-# ends of the uint64 range
+# ends of the packed value range: a negative value v stands for
+# 2^(64 - s) + v, so -1 is the largest value a side of that size packs
 _window_values = st.one_of(
-    st.integers(0, 3), st.integers(_U64_MAX - 3, _U64_MAX), st.integers(0, _U64_MAX)
+    st.integers(0, 3), st.integers(-4, -1), st.integers(-(2**57), 2**57)
 )
 _window_sides = st.lists(_window_values, min_size=1, max_size=60)
 
 
 def _check_window_helpers(a: list[int], b: list[int]) -> None:
-    """`_shared_values` and `_key_positions` against a dict from value to
-    ascending positions, for both sides."""
-    arrays = [np.array(side, dtype=np.uint64) for side in (a, b)]
-    orders = [x.argsort() for x in arrays]
-    sorted_a, sorted_b = (x[o] for x, o in zip(arrays, orders))
-    keys = _shared_values(sorted_a, sorted_b)
-    common = sorted(set(a) & set(b))
-    assert keys.dtype == np.uint64 and keys.tolist() == common
-    for side, order, values in zip((a, b), orders, (sorted_a, sorted_b)):
+    """`_shared_values` and `_packed_positions` against a dict from value
+    to ascending positions, for both sides.  Each side is packed as the
+    window does: sorted keys (value << s) | list position, with s the
+    bit length of the larger side."""
+    s = max(len(a), len(b)).bit_length()
+    a, b = ([v % 2 ** (64 - s) for v in side] for side in (a, b))
+    packed = []
+    for side in (a, b):
+        keys = np.array(sorted(v << s | i for i, v in enumerate(side)), np.uint64)
+        packed.append((keys, keys >> np.uint64(s)))
+    common = _shared_values(packed[0][1], packed[1][1])
+    expected = sorted(set(a) & set(b))
+    assert common.dtype == np.uint64 and common.tolist() == expected
+    for side, (keys, values) in zip((a, b), packed):
         where: dict[int, list[int]] = {}
         for i, v in enumerate(side):
             where.setdefault(v, []).append(i)
-        pos, per_key = _key_positions(order, values, keys)
-        assert pos.tolist() == [i for v in common for i in where[v]]
-        assert per_key.tolist() == [len(where[v]) for v in common]
+        pos, per_key = _packed_positions(keys, values, s, common)
+        assert pos.tolist() == [i for v in expected for i in where[v]]
+        assert per_key.tolist() == [len(where[v]) for v in expected]
 
 
 class TestWindowHelpers:
-    """The window step: each side sorted once, the values both share,
-    and each shared value's positions in (value, position) order."""
+    """The window step: each side packed with its positions and sorted
+    once, the values both share, and each shared value's positions in
+    (value, position) order."""
 
     @given(a=_window_sides, b=_window_sides)
     @settings(max_examples=300, deadline=None)
@@ -497,7 +555,7 @@ class TestWindowHelpers:
             ([0, 2, 4] * 50, [1, 3, 5] * 50),  # no common value
             ([5], [5]),  # one-element sides
             ([5], [6]),
-            ([_U64_MAX, 3, 0, 3, _U64_MAX, 0], [0, _U64_MAX]),  # both ends
+            ([-1, 3, 0, 3, -1, 0], [0, -1]),  # both ends of the packed range
         ],
     )
     def test_edge_cases(self, a, b):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +238,40 @@ class TestPipeline:
             got = solve(inst, cfg)
             assert got.feasible and got.stats.batches > 1
         assert got.solutions == brute_force_all(inst)
+
+    def test_one_batch_default_solve_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-batch solve started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # four validators
+        inst = seeded_instance(0, m=2, n=16, k=8)
+        for cfg in (SolverConfig(), SolverConfig(mode="all")):
+            got = solve(inst, cfg)
+            assert got.feasible and got.stats.validate_calls == 1
+            assert got.stats.batches > 1  # one batch of several alphas
+        assert got.solutions == brute_force_all(inst)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solve_frees_its_tables_without_gc(self, monkeypatch, workers):
+        # the run loop's closures hold the tables; a reference cycle among
+        # them would keep every finished solve's tables until a collection
+        tables = []
+        build = solver_module.build_quarter_tables
+
+        def recording_build(*args):
+            built = build(*args)
+            tables.extend(weakref.ref(t) for t in built)
+            return built
+
+        monkeypatch.setattr(solver_module, "build_quarter_tables", recording_build)
+        inst = seeded_instance(0, m=2, n=16, k=8)
+        gc.disable()
+        try:
+            solve(inst, SolverConfig(worker_count=workers))
+            assert tables and all(ref() is None for ref in tables)
+        finally:
+            gc.enable()
 
     def test_first_mode_stops_early(self):
         # a feasible instance whose first solution appears before exhaustion
