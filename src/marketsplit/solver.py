@@ -81,7 +81,10 @@ class SolverConfig:
     mode: "first" returns on the first verified solution, "all" runs to
     exhaustion.  reduce_rows r merges the first r constraint rows into
     one before solving (1 = no reduction).  chunk_pairs None sizes chunks
-    from memory_budget_bytes.  worker_count is the number of validating
+    from memory_budget_bytes, the bytes one validation chunk pair may
+    hold (see `default_chunk_pairs`).  backend names the validation
+    backend: "parallel" (production) or "serial" (the pure-Python
+    reference).  worker_count is the number of validating
     threads, the calling thread included; 0 means one per CPU.
     pipeline_depth bounds the batches enumerated but not yet validated:
     a validator that finds the buffer empty refills it with up to that
@@ -326,6 +329,7 @@ def _run(
     and raises.
     """
     expired = _Deadline(deadline)
+    backend = get_backend(cfg.backend)  # stateless: shared by the validators
     fill, lock = threading.Lock(), threading.Lock()
     buffer: deque = deque()
     numbered = 0  # batches enumerated so far
@@ -358,7 +362,7 @@ def _run(
                 buffer.clear()
             return buffer.popleft() if buffer else None
 
-    def validate(seq: int, batch, backend, vstats: ValidationStats) -> None:
+    def validate(seq: int, batch, vstats: ValidationStats) -> None:
         nonlocal solved
         t0 = time.perf_counter()
         sols = validate_chunked(
@@ -377,10 +381,9 @@ def _run(
                     solved = min(solved, seq)
 
     def validator(vstats: ValidationStats, start_helpers=None) -> None:
-        backend = get_backend(cfg.backend)
         try:
             while (item := take(start_helpers)) is not None:
-                validate(*item, backend, vstats)
+                validate(*item, vstats)
                 del item  # released before the next refill
         except BaseException as exc:  # stops every validator; the caller raises it
             with lock:

@@ -104,7 +104,6 @@ class ResidualSet:
     any coordinate are dropped before construction (`n_filtered`).
     """
 
-    side: str
     vectors: np.ndarray
     pairs: np.ndarray
     n_filtered: int = 0
@@ -162,9 +161,8 @@ def compute_residuals(
     _assert_alpha(left[:, 0], batch.alpha, "left")
     _assert_alpha(right[:, 0], batch.alpha, "right")
     return (
-        ResidualSet(side="left", vectors=left, pairs=left_pairs),
+        ResidualSet(vectors=left, pairs=left_pairs),
         ResidualSet(
-            side="right",
             vectors=right,
             pairs=right_pairs[keep],
             n_filtered=int(len(keep) - keep.sum()),
@@ -224,33 +222,7 @@ def join_hashes(
     return left_idx[pos], np.repeat(right_idx, counts)
 
 
-class _Backend:
-    """What both backends share, given their `encode` and `join`: pair
-    hashes of a side's range from residuals built out of `side[lo:hi]`,
-    and `find_matches` over residual sets."""
-
-    def left_hashes(self, tables, side: RunBlocks, lo: int, hi: int) -> np.ndarray:
-        return self.encode(_left_vectors(side[lo:hi], tables)).hashes
-
-    def right_hashes(
-        self, tables, side: RunBlocks, lo: int, hi: int, d: np.ndarray
-    ) -> np.ndarray:
-        # uint64 wrap-around is intended: h(v mod 2^64) == h(v) mod 2^64
-        return self.encode(d - _right_sums(side[lo:hi], tables)).hashes
-
-    def find_matches(
-        self, left: ResidualSet, right: ResidualSet
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Left and right indices of exactly equal residuals, ordered by
-        right then left index, and the number of hash hits examined."""
-        left_idx, right_idx = self.join(
-            self.encode(left.vectors).hashes, self.encode(right.vectors).hashes
-        )
-        exact = (left.vectors[left_idx] == right.vectors[right_idx]).all(axis=1)
-        return left_idx[exact], right_idx[exact], len(left_idx)
-
-
-class SerialBackend(_Backend):
+class SerialBackend:
     """Pure-Python reference implementation; the conformance oracle.
 
     It hashes residual vectors built from the tables one by one, never
@@ -260,15 +232,20 @@ class SerialBackend(_Backend):
 
     name = "serial"
 
-    def __init__(self, encode_fn: Callable[[Sequence[int]], int] | None = None):
-        self._encode_one = encode_fn or encode_vector
-
     def encode(self, vectors: np.ndarray) -> EncodedSet:
-        rows = vectors.tolist()
         hashes = np.array(
-            [self._encode_one(row) for row in rows], dtype=np.uint64
+            [encode_vector(row) for row in vectors.tolist()], dtype=np.uint64
         )
         return EncodedSet(hashes=hashes)
+
+    def left_hashes(self, tables, side: RunBlocks, lo: int, hi: int) -> np.ndarray:
+        return self.encode(_left_vectors(side[lo:hi], tables)).hashes
+
+    def right_hashes(
+        self, tables, side: RunBlocks, lo: int, hi: int, d: np.ndarray
+    ) -> np.ndarray:
+        # uint64 wrap-around is intended: h(v mod 2^64) == h(v) mod 2^64
+        return self.encode(d - _right_sums(side[lo:hi], tables)).hashes
 
     def join(
         self, left: np.ndarray, right: np.ndarray
@@ -291,42 +268,26 @@ class SerialBackend(_Backend):
         )
 
 
-class ParallelBackend(_Backend):
+class ParallelBackend:
     """Production implementation: numpy-vectorized hashing and join.
 
     Pair hashes are summed straight from the run blocks and the tables'
-    precomputed hash columns (`RunBlocks.sums`).  An `encode_fn` override
-    (tests use constant hashes to force collisions) hashes built residual
-    vectors instead; the join and the exact confirmation are the same
-    either way.
+    precomputed hash columns (`RunBlocks.sums`).
     """
 
     name = "parallel"
 
-    def __init__(self, encode_fn: Callable[[np.ndarray], np.ndarray] | None = None):
-        self._encode_many = encode_fn
-        # h(d) is computed once per right-hand side, not once per call.
-        self._rhs_key = b""
-        self._rhs_hash = np.uint64(0)
-
     def encode(self, vectors: np.ndarray) -> EncodedSet:
-        return EncodedSet(hashes=(self._encode_many or encode_batch)(vectors))
+        return EncodedSet(hashes=encode_batch(vectors))
 
     def left_hashes(self, tables, side: RunBlocks, lo: int, hi: int) -> np.ndarray:
-        if self._encode_many is not None:
-            return super().left_hashes(tables, side, lo, hi)
         return side.sums(tables[0].hashes, tables[1].hashes, lo, hi)
 
     def right_hashes(
         self, tables, side: RunBlocks, lo: int, hi: int, d: np.ndarray
     ) -> np.ndarray:
-        if self._encode_many is not None:
-            return super().right_hashes(tables, side, lo, hi, d)
-        key = d.tobytes()
-        if key != self._rhs_key:
-            self._rhs_key, self._rhs_hash = key, np.uint64(encode_vector(d.tolist()))
         sums = side.sums(tables[2].hashes, tables[3].hashes, lo, hi)
-        return np.subtract(self._rhs_hash, sums, out=sums)
+        return np.subtract(np.uint64(encode_vector(d.tolist())), sums, out=sums)
 
     join = staticmethod(join_hashes)
 
@@ -390,11 +351,14 @@ def match_batch(
     backends produce identically.
     """
     backend = backend or ParallelBackend()
-    left_idx, right_idx, hash_hits = backend.find_matches(left, right)
-    quads = np.hstack([left.pairs[left_idx], right.pairs[right_idx]])
+    left_idx, right_idx = backend.join(
+        backend.encode(left.vectors).hashes, backend.encode(right.vectors).hashes
+    )
+    exact = (left.vectors[left_idx] == right.vectors[right_idx]).all(axis=1)
+    quads = np.hstack([left.pairs[left_idx[exact]], right.pairs[right_idx[exact]]])
     solutions = _verified_solutions(inst, tables, quads)
     if stats is not None:
-        stats.hash_hits += hash_hits
+        stats.hash_hits += len(left_idx)
         stats.exact_hits += len(solutions)
     return solutions
 
@@ -422,12 +386,14 @@ def validate_chunked(
     block is checked against its alpha before its chunk is first joined,
     left before right (see `_BlockCheck`).  A grouped batch is joined as
     a whole (see the module docstring): a left chunk meets only the right
-    chunks that hold one of its alphas.  Solutions come in chunk-pair
-    order, (right, left) within a chunk pair, so by ascending alpha.
+    pairs of its own alphas, cut into chunks from the first of them.
+    Solutions come in chunk-pair order, (right, left) within a chunk
+    pair, so by ascending alpha.
     """
     if chunk_pairs < 1:
         raise ValueError(f"chunk_pairs must be >= 1, got {chunk_pairs}")
     backend = backend or ParallelBackend()
+    stats = stats or ValidationStats()
     if d is None:
         d = permuted_rhs(inst, tables)
     d = np.ascontiguousarray(d, dtype=np.uint64)
@@ -437,31 +403,26 @@ def validate_chunked(
     n_left, n_right = int(l_edges[-1]), int(r_edges[-1])
     l_check = _BlockCheck(left, tables[0], tables[1], alphas, l_edges, "left")
     r_check = _BlockCheck(right, tables[2], tables[3], alphas, r_edges, "right", d[0])
-    if stats is not None:
-        stats.calls += 1
+    stats.calls += 1
 
     solutions: list[SolutionVector] = []
-    # right pairs before these were checked, and counted
-    right_checked = right_counted = 0
+    right_done = 0  # right pairs before this were checked and counted
     for ls in range(0, max(n_left, 1), chunk_pairs):
         l_end = min(ls + chunk_pairs, n_left)
         l_check(ls, l_end)
         left_h = backend.left_hashes(tables, left, ls, l_end)
-        if stats is not None:
-            stats.candidates_left += l_end - ls
-        # only the right chunks holding this chunk's alphas
+        stats.candidates_left += l_end - ls
+        # only the right pairs of this chunk's alphas
         r_lo, r_hi = _partner_range(l_edges, r_edges, ls, l_end)
-        for rs in range(r_lo - r_lo % chunk_pairs, r_hi, chunk_pairs):
+        for rs in range(r_lo, r_hi, chunk_pairs):
             if should_stop is not None and should_stop():
                 return solutions
-            r_end = min(rs + chunk_pairs, n_right)
+            r_end = min(rs + chunk_pairs, r_hi)
             # right pairs are checked once they partner a checked left chunk
-            r_check(max(rs, r_lo, right_checked), min(r_end, r_hi))
-            right_checked = max(right_checked, min(r_end, r_hi))
-            if rs >= right_counted:
-                if stats is not None:
-                    stats.candidates_right += r_end - rs
-                right_counted = r_end
+            if r_end > right_done:
+                r_check(max(rs, right_done), r_end)
+                stats.candidates_right += r_end - max(rs, right_done)
+                right_done = r_end
             li, ri = backend.join(
                 left_h, backend.right_hashes(tables, right, rs, r_end, d)
             )
@@ -470,9 +431,8 @@ def validate_chunked(
             found = _confirm_exact(
                 left.pairs_at(li + ls), right.pairs_at(ri + rs), tables, inst, d
             )
-            if stats is not None:
-                stats.hash_hits += len(li)
-                stats.exact_hits += len(found)
+            stats.hash_hits += len(li)
+            stats.exact_hits += len(found)
             solutions.extend(found)
     return solutions
 
@@ -546,7 +506,7 @@ def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> in
     blocks may each be one pair, as for a batch of one alpha.  Not
     charged: the hash hits, whose number the solutions and collisions
     set.  No m-vector is built per pair, so `m` does not enter; the
-    reference paths that do build them (`SerialBackend`, an `encode_fn`
-    override) are not sized by this budget.
+    reference path that does build them (`SerialBackend`) is not sized by
+    this budget.
     """
     return max(1, budget_bytes // 64)

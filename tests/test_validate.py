@@ -54,6 +54,14 @@ def reference_hash(values):
 
 ALL_BACKENDS = [SerialBackend(), ParallelBackend()]
 
+
+def zero_hashes(monkeypatch):
+    """Make every hash 0 while `monkeypatch` holds: tables built then
+    carry zero hash columns, so every pair collides, in production
+    hashing (`RunBlocks.sums`) as in the reference."""
+    monkeypatch.setattr(enumerate1d, "hash_multipliers", lambda m: (0,) * m)
+
+
 u64 = st.integers(0, 2**64 - 1)
 
 
@@ -356,12 +364,10 @@ class TestMatching:
         inst = MspInstance([[1, 2, 3, 4]], [5])
         tables = build_quarter_tables(inst)
         left = ResidualSet(
-            side="left",
             vectors=np.array([[1], [2]], dtype=np.uint64),
             pairs=np.zeros((2, 2), dtype=np.int64),
         )
         right = ResidualSet(
-            side="right",
             vectors=np.array([[3], [4]], dtype=np.uint64),
             pairs=np.zeros((2, 2), dtype=np.int64),
         )
@@ -397,39 +403,35 @@ class TestMatching:
                 found.extend(match_batch(left, right, inst, tables))
             assert set(found) == expected, seed
 
-    def test_colliding_hashes_rejected_by_exact_check(self):
-        # constant hash: every pair collides, results must not change
+    def test_colliding_hashes_rejected_by_exact_check(self, monkeypatch):
+        # zero hash: every pair collides, results must not change
         inst = seeded_instance(31, m=2, n=10, k=7)
         tables = build_quarter_tables(inst)
         d = permuted_rhs(inst, tables)
-        degenerate = [
-            SerialBackend(encode_fn=lambda vec: 42),
-            ParallelBackend(
-                encode_fn=lambda arr: np.full(len(arr), 42, dtype=np.uint64)
-            ),
-            SerialBackend(),
-            ParallelBackend(),
-        ]
-        results = []
-        for backend in degenerate:
+
+        def matches(backend):
             found = []
             enum = PairSumEnumerator(tables, int(inst.d[0]))
             for batch in drain_all_batches(enum):
                 left, right = compute_residuals(batch, tables, d)
                 found.extend(match_batch(left, right, inst, tables, backend))
-            results.append(found)
+            return found
+
+        with monkeypatch.context() as mp:
+            zero_hashes(mp)
+            results = [matches(SerialBackend()), matches(ParallelBackend())]
+        results += [matches(SerialBackend()), matches(ParallelBackend())]
         assert results[0] == results[1] == results[2] == results[3]
         assert set(results[0]) == set(brute_force_all(inst))
 
-    def test_forced_collisions_through_join_kernel(self):
-        # constant hashes make every pair of every chunk a hit in the
+    def test_forced_collisions_through_join_kernel(self, monkeypatch):
+        # zero hashes make every pair of every chunk a hit in the
         # production join; exact confirmation alone must recover the
         # oracle's solutions
         inst = seeded_instance(33, m=2, n=13, k=7)
+        zero_hashes(monkeypatch)
         tables = build_quarter_tables(inst)
-        backend = ParallelBackend(
-            encode_fn=lambda arr: np.full(len(arr), 42, dtype=np.uint64)
-        )
+        backend = ParallelBackend()
         for chunk in (10**9, 3):
             stats = ValidationStats()
             found = []
@@ -444,24 +446,19 @@ class TestMatching:
             assert stats.hash_hits == product
             assert stats.exact_hits == len(found)
 
-    def test_degenerate_hash_counts_more_hash_hits(self):
+    def test_degenerate_hash_counts_more_hash_hits(self, monkeypatch):
         inst = seeded_instance(32, m=1, n=8, k=5)
         tables = build_quarter_tables(inst)
         d = permuted_rhs(inst, tables)
         enum = PairSumEnumerator(tables, int(inst.d[0]))
         batches = drain_all_batches(enum)
         real, degen = ValidationStats(), ValidationStats()
-        for batch in batches:
-            left, right = compute_residuals(batch, tables, d)
+        residuals = [compute_residuals(batch, tables, d) for batch in batches]
+        for left, right in residuals:
             match_batch(left, right, inst, tables, SerialBackend(), real)
-            match_batch(
-                left,
-                right,
-                inst,
-                tables,
-                SerialBackend(encode_fn=lambda vec: 0),
-                degen,
-            )
+        zero_hashes(monkeypatch)
+        for left, right in residuals:
+            match_batch(left, right, inst, tables, SerialBackend(), degen)
         assert degen.exact_hits == real.exact_hits
         assert degen.hash_hits >= real.hash_hits
         assert real.hash_hits >= real.exact_hits
@@ -519,7 +516,6 @@ class TestChunking:
     def _call_peak(batch, tables, inst, chunk):
         """tracemalloc peak of one `validate_chunked` call."""
         backend, d = ParallelBackend(), permuted_rhs(inst, tables)
-        validate_chunked(batch, tables, inst, chunk, backend, d)  # caches h(d)
         tracemalloc.start()
         try:
             validate_chunked(batch, tables, inst, chunk, backend, d)
@@ -651,6 +647,44 @@ class TestWindowBatches:
                 whole.calls = parts.calls = 0
                 assert whole == parts, (chunk, backend.name)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_right_chunks_stay_inside_partner_alphas(self, chunk):
+        # every right range hashed holds only alphas of the left chunk it
+        # is joined with, and every right pair is hashed, and counted once
+        class Spy(ParallelBackend):
+            def __init__(self):
+                super().__init__()
+                self.left, self.joined = None, []
+
+            def left_hashes(self, tables, side, lo, hi):
+                self.left = (lo, hi)
+                return super().left_hashes(tables, side, lo, hi)
+
+            def right_hashes(self, tables, side, lo, hi, d):
+                self.joined.append((self.left, (lo, hi)))
+                return super().right_hashes(tables, side, lo, hi, d)
+
+        # small weights: alphas of several pairs each, in one group
+        inst = seeded_instance(1, m=2, n=16, k=20)
+        tables, batches = _window_batches(inst)
+        batch = max(batches, key=lambda b: 0 if b.alphas is None else len(b.alphas))
+        assert len(batch.alphas) > 10 and batch.n_right > 2 * len(batch.alphas)
+        _, l_edges, r_edges = batch.spans()
+
+        def alphas(edges, lo, hi):
+            return set(np.searchsorted(edges, np.arange(lo, hi), side="right") - 1)
+
+        spy, stats = Spy(), ValidationStats()
+        validate_chunked(batch, tables, inst, chunk, spy, stats=stats)
+        hashed = []
+        for (l_lo, l_hi), (r_lo, r_hi) in spy.joined:
+            assert 0 < r_hi - r_lo <= chunk
+            assert alphas(r_edges, r_lo, r_hi) <= alphas(l_edges, l_lo, l_hi)
+            hashed.extend(range(r_lo, r_hi))
+        assert set(hashed) == set(range(batch.n_right))
+        assert stats.candidates_left == batch.n_left
+        assert stats.candidates_right == batch.n_right
+
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
     @pytest.mark.parametrize("chunk", [1, 7, 10**9])
     def test_alpha_mismatch_inside_window_raises(self, backend, chunk):
@@ -708,21 +742,18 @@ class TestWindowBatches:
             with pytest.raises(AssertionError, match=side):
                 validate_chunked(bad, tables, inst, 7, backend)
 
-    def test_forced_cross_alpha_collisions(self):
-        # constant hashes make every left pair of a window hit every right
+    def test_forced_cross_alpha_collisions(self, monkeypatch):
+        # zero hashes make every left pair of a window hit every right
         # pair, whatever its alpha; exact confirmation alone must recover
         # the oracle's solutions
         inst = _reduced_instance(1, 2, 16, 10)
+        zero_hashes(monkeypatch)
         tables, batches = _window_batches(inst)
         per_alpha = sum(
             p.n_left * p.n_right for b in batches for p in b.per_alpha()
         )
         assert any(b.alphas is not None and len(b.alphas) > 1 for b in batches)
-        constant = [
-            SerialBackend(encode_fn=lambda vec: 42),
-            ParallelBackend(encode_fn=lambda arr: np.full(len(arr), 42, dtype=np.uint64)),
-        ]
-        for backend in constant:
+        for backend in ALL_BACKENDS:
             stats = ValidationStats()
             found = []
             for batch in batches:
