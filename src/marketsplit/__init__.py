@@ -2,7 +2,6 @@
 
 from .enumerate1d import (
     CandidateBatch,
-    PairHeapEntry,
     PairSumEnumerator,
     QuarterTable,
     RunBlocks,
@@ -10,7 +9,6 @@ from .enumerate1d import (
     assemble_solution,
     build_quarter_tables,
     permuted_rhs,
-    run_extract,
 )
 from .instances import (
     MspInstance,
@@ -51,7 +49,6 @@ __all__ = [
     "CandidateBatch",
     "EncodedSet",
     "MspInstance",
-    "PairHeapEntry",
     "PairSumEnumerator",
     "ParseError",
     "QuarterTable",
@@ -75,7 +72,6 @@ __all__ = [
     "match_batch",
     "parse_instance",
     "permuted_rhs",
-    "run_extract",
     "solution_encoding",
     "solution_from_string",
     "solution_to_string",

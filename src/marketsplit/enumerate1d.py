@@ -54,11 +54,11 @@ heaps never grow past |B| and |D|.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heapreplace
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -137,18 +137,6 @@ class QuarterTable:
         )
 
 
-class PairHeapEntry(NamedTuple):
-    """Heap unit: combined weight, fixed partner, run-table position.
-
-    Field order is the heap ordering: key first, then fixed_index as the
-    deterministic tie-break.
-    """
-
-    key: int
-    fixed_index: int
-    run_index: int
-
-
 def _block_sizes(n: int) -> list[int]:
     q, r = divmod(n, 4)
     return [q + 1] * r + [q] * (4 - r)
@@ -208,21 +196,24 @@ def build_quarter_tables(
     return tuple(tables)  # type: ignore[return-value]
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, length) of each run of equal values in a nonempty array."""
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    return starts, np.diff(np.r_[starts, len(values)])
+
+
 def _run_ends(weights: np.ndarray) -> np.ndarray:
-    size = len(weights)
-    if size == 1:
-        return np.array([1], dtype=np.int64)
-    change = np.flatnonzero(weights[1:] != weights[:-1]).astype(np.int64) + 1
-    bounds = np.concatenate([change, [size]])
-    starts = np.concatenate([[0], change])
-    return np.repeat(bounds, bounds - starts)
+    """Per entry, the end of the equal-weight run holding it."""
+    starts, lens = _runs(weights)
+    return np.repeat(starts + lens, lens)
 
 
-def run_extract(table: QuarterTable, start: int) -> int:
-    """End of the maximal equal-weight run containing `start` (half-open)."""
-    if not (0 <= start < table.size):
-        raise IndexError(f"start {start} out of range for table of size {table.size}")
-    return int(table.run_end[start])
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integer ranges [s, s + len) of each (start, length), laid end
+    to end; a length may be 0."""
+    pos = (starts - (lens.cumsum() - lens)).repeat(lens)
+    pos += np.arange(len(pos))
+    return pos
 
 
 def permuted_rhs(inst: MspInstance, tables: Sequence[QuarterTable]) -> np.ndarray:
@@ -241,7 +232,8 @@ class RunBlocks:
     just that range to a (hi - lo, 2) int64 array, so a consumer working
     in chunks never holds the whole side; `sums` evaluates a per-pair sum
     over a range without building the pairs, and `pairs_at` builds the
-    pairs at given positions only.
+    pairs at given positions only.  Rows expand to inner indices with
+    `_ranges`.
     """
 
     __slots__ = ("inner_start", "inner_len", "fixed_start", "fixed_len", "_ends")
@@ -270,10 +262,7 @@ class RunBlocks:
         if hi <= lo:
             return np.empty((0, 2), dtype=np.int64)
         inner, lens, fixed = self.rows(lo, hi)
-        out = np.empty((hi - lo, 2), dtype=np.int64)
-        out[:, 0] = _row_positions(inner, lens, hi - lo)
-        out[:, 1] = fixed.repeat(lens)
-        return out
+        return np.column_stack((_ranges(inner, lens), fixed.repeat(lens)))
 
     def __iter__(self):
         return iter(self[:])
@@ -297,8 +286,7 @@ class RunBlocks:
         fixed = self.fixed_start[b0:b1]
         n_rows = int(k.sum())
         if n_rows != len(k):  # some block has several rows
-            first_row = k.cumsum() - k
-            fixed = fixed.repeat(k) + (np.arange(n_rows) - first_row.repeat(k))
+            fixed = _ranges(fixed, k)
             inner, lens = inner.repeat(k), lens.repeat(k)
         if whole:
             return inner, lens, fixed
@@ -329,7 +317,7 @@ class RunBlocks:
             out = inner_values[inner]
             out += fixed_values[fixed]
             return out
-        out = inner_values[_row_positions(inner, lens, hi - lo)]
+        out = inner_values[_ranges(inner, lens)]
         out += fixed_values[fixed].repeat(lens)
         return out
 
@@ -363,13 +351,6 @@ class RunBlocks:
             self.fixed_start[b0:b1],
             self.fixed_len[b0:b1],
         )
-
-
-def _row_positions(inner: np.ndarray, lens: np.ndarray, total: int) -> np.ndarray:
-    """Inner index of each pair of rows (first inner index, length)."""
-    pos = (inner - (lens.cumsum() - lens)).repeat(lens)
-    pos += np.arange(total)
-    return pos
 
 
 @dataclass(frozen=True)
@@ -440,44 +421,36 @@ class CandidateBatch:
         ]
 
 
-def _segments(starts: list[int], ends: list[int], fixed: list[int]) -> RunBlocks:
-    """Heap drain segments [start, end) x {fixed} as single-row blocks."""
-    inner_start = np.array(starts, dtype=np.int64)
-    return RunBlocks(
-        inner_start,
-        np.array(ends, dtype=np.int64) - inner_start,
-        np.array(fixed, dtype=np.int64),
-        np.ones(len(inner_start), dtype=np.int64),
-    )
+def _segments(runs: list[int]) -> RunBlocks:
+    """Heap drain runs as single-row blocks: `runs` holds (start, end,
+    fixed) triples end to end, each the block [start, end) x {fixed}."""
+    start, end, fixed = np.array(runs, dtype=np.int64).reshape(-1, 3).T.copy()
+    return RunBlocks(start, end - start, fixed, np.ones(len(start), dtype=np.int64))
 
 
 class PairSumEnumerator:
     """Streams candidate batches for one target value until exhaustion.
 
     Single-owner, advanced sequentially; the batches it emits are
-    immutable and safe to hand to other threads.
+    immutable and safe to hand to other threads.  Heap entries are (key,
+    fixed index, run start) tuples, H2's keys negated; each heap has one
+    step (`_pop_left`, `_pop_right`) that pops a run and pushes its
+    fixed partner's next run.
     """
 
     def __init__(self, tables: Sequence[QuarterTable], target: int):
         ta, tb, tc, td = tables
         self.tables = tuple(tables)
         self.target = int(target)
-        self._wa = ta.weights.tolist()
-        self._rea = ta.run_end.tolist()
-        self._wb = tb.weights.tolist()
-        self._wc = tc.weights.tolist()
-        self._rec = tc.run_end.tolist()
-        self._wd = td.weights.tolist()
-        self._na = len(self._wa)
-        self._nc = len(self._wc)
-        wa0 = self._wa[0]
-        wc0 = self._wc[0]
-        self._h1 = [(wa0 + wb, j, 0) for j, wb in enumerate(self._wb)]
-        self._h2 = [(-(wc0 + wd), l, 0) for l, wd in enumerate(self._wd)]
-        heapq.heapify(self._h1)
-        heapq.heapify(self._h2)
-        self.peak_h1 = len(self._h1)
-        self.peak_h2 = len(self._h2)
+        self._wa, self._rea = ta.weights.tolist(), ta.run_end.tolist()
+        self._wc, self._rec = tc.weights.tolist(), tc.run_end.tolist()
+        self._wb, self._wd = tb.weights.tolist(), td.weights.tolist()
+        self._na, self._nc = ta.size, tc.size
+        self._h1 = [(self._wa[0] + wb, j, 0) for j, wb in enumerate(self._wb)]
+        self._h2 = [(-(self._wc[0] + wd), l, 0) for l, wd in enumerate(self._wd)]
+        heapify(self._h1)
+        heapify(self._h2)
+        self.peak_h1, self.peak_h2 = len(self._h1), len(self._h2)
         self.exhausted = False
 
     def heap_tops(self) -> tuple[int | None, int | None]:
@@ -486,36 +459,15 @@ class PairSumEnumerator:
         beta = -self._h2[0][0] if self._h2 else None
         return alpha, beta
 
-    def heap_entries(self) -> tuple[list[PairHeapEntry], list[PairHeapEntry]]:
-        """Snapshot of both heaps (unordered); debugging and tests only."""
-        h1 = [PairHeapEntry(k, j, i) for k, j, i in self._h1]
-        h2 = [PairHeapEntry(-k, l, c) for k, l, c in self._h2]
-        return h1, h2
-
     def next_batch(self) -> CandidateBatch | None:
         """Next equal-weight candidate batch, or None once exhausted."""
-        h1, h2 = self._h1, self._h2
-        target = self.target
-        wa, rea, wb = self._wa, self._rea, self._wb
-        wc, rec, wd = self._wc, self._rec, self._wd
-        na, nc = self._na, self._nc
-        pop, push = heapq.heappop, heapq.heappush
+        h1, h2, target = self._h1, self._h2, self.target
         while h1 and h2:
             combined = h1[0][0] - h2[0][0]
             if combined < target:
-                _, j, i = pop(h1)
-                ni = rea[i]
-                if ni < na:
-                    push(h1, (wa[ni] + wb[j], j, ni))
-                    if len(h1) > self.peak_h1:
-                        self.peak_h1 = len(h1)
+                self._pop_left()
             elif combined > target:
-                _, l, k = pop(h2)
-                nk = rec[k]
-                if nk < nc:
-                    push(h2, (-(wc[nk] + wd[l]), l, nk))
-                    if len(h2) > self.peak_h2:
-                        self.peak_h2 = len(h2)
+                self._pop_right()
             else:
                 return self._drain()
         self.exhausted = True
@@ -523,45 +475,40 @@ class PairSumEnumerator:
 
     def _drain(self) -> CandidateBatch:
         h1, h2 = self._h1, self._h2
-        wa, rea, wb = self._wa, self._rea, self._wb
-        wc, rec, wd = self._wc, self._rec, self._wd
-        na, nc = self._na, self._nc
-        pop, push = heapq.heappop, heapq.heappush
-
-        alpha = h1[0][0]
-        neg_beta = h2[0][0]
-        lstarts: list[int] = []
-        lends: list[int] = []
-        ljs: list[int] = []
+        alpha, neg_beta = h1[0][0], h2[0][0]
+        left: list[int] = []
         while h1 and h1[0][0] == alpha:
-            _, j, i = pop(h1)
-            end = rea[i]
-            lstarts.append(i)
-            lends.append(end)
-            ljs.append(j)
-            if end < na:
-                push(h1, (wa[end] + wb[j], j, end))
-                if len(h1) > self.peak_h1:
-                    self.peak_h1 = len(h1)
-        rstarts: list[int] = []
-        rends: list[int] = []
-        rls: list[int] = []
+            left.extend(self._pop_left())
+        right: list[int] = []
         while h2 and h2[0][0] == neg_beta:
-            _, l, k = pop(h2)
-            end = rec[k]
-            rstarts.append(k)
-            rends.append(end)
-            rls.append(l)
-            if end < nc:
-                push(h2, (-(wc[end] + wd[l]), l, end))
-                if len(h2) > self.peak_h2:
-                    self.peak_h2 = len(h2)
-        return CandidateBatch(
-            alpha=alpha,
-            beta=-neg_beta,
-            left_pairs=_segments(lstarts, lends, ljs),
-            right_pairs=_segments(rstarts, rends, rls),
-        )
+            right.extend(self._pop_right())
+        return CandidateBatch(alpha, -neg_beta, _segments(left), _segments(right))
+
+    def _pop_left(self) -> tuple[int, int, int]:
+        """Pop H1's top A run, push its B partner's next: (start, end, j)."""
+        h1 = self._h1
+        _, j, i = h1[0]
+        end = self._rea[i]
+        if end < self._na:
+            heapreplace(h1, (self._wa[end] + self._wb[j], j, end))
+            if len(h1) > self.peak_h1:
+                self.peak_h1 = len(h1)
+        else:
+            heappop(h1)
+        return i, end, j
+
+    def _pop_right(self) -> tuple[int, int, int]:
+        """`_pop_left` for H2: the popped C run's (start, end, l)."""
+        h2 = self._h2
+        _, l, k = h2[0]
+        end = self._rec[k]
+        if end < self._nc:
+            heapreplace(h2, (-(self._wc[end] + self._wd[l]), l, end))
+            if len(h2) > self.peak_h2:
+                self.peak_h2 = len(h2)
+        else:
+            heappop(h2)
+        return k, end, l
 
 
 def _distinct_runs(
@@ -569,10 +516,8 @@ def _distinct_runs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(distinct weight, run start, run length) per equal-weight run, in
     table order, or reversed if that makes the weights ascending."""
-    w = table.weights
-    starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
-    lens = np.diff(np.r_[starts, len(w)])
-    runs = (w[starts], starts, lens)
+    starts, lens = _runs(table.weights)
+    runs = (table.weights[starts], starts, lens)
     if ascending and not table.ascending:
         runs = tuple(np.ascontiguousarray(a[::-1]) for a in runs)
     return runs
@@ -601,8 +546,7 @@ class _SumsetSide:
         """Sums, x and y of the pairs (x, y) with lo[y] <= x < hi[y], y-major."""
         counts = hi - lo
         y = np.repeat(np.arange(len(counts)), counts)
-        x = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        x += np.arange(len(x))
+        x = _ranges(lo, counts)
         out = self.u_in[x]
         out += self.u_fx[y]
         return out, x, y
@@ -649,9 +593,7 @@ def _packed_positions(
     order, and their count per common value."""
     start = values.searchsorted(common)
     per_key = values.searchsorted(common, side="right") - start
-    at = np.repeat(start - (np.cumsum(per_key) - per_key), per_key)
-    at += np.arange(len(at))
-    pos = keys[at]
+    pos = keys[_ranges(start, per_key)]
     pos &= np.uint64((1 << s) - 1)
     return pos.view(np.int64), per_key
 

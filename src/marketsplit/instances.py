@@ -328,6 +328,8 @@ def verify_solution(inst: MspInstance, x: Sequence[int]) -> bool:
     """Exact check that A x = d for a 0/1 vector x of length n."""
     if len(x) != inst.n:
         raise ValueError(f"solution has length {len(x)}, instance has n={inst.n}")
+    if any(bit not in (0, 1) for bit in x):
+        raise ValueError(f"solution entries must be 0 or 1: {tuple(x)!r}")
     a = inst.a.tolist()
     d = inst.d.tolist()
     for i in range(inst.m):

@@ -230,8 +230,6 @@ def solve(
     workers = cfg.worker_count or os.cpu_count() or 1
 
     try:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise SolveTimeout(f"time limit of {time_limit}s exceeded")
         found = _run(
             enumerator, tables, work, inst, cfg, chunk, d_perm, stats, deadline, workers
         )

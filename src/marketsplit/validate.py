@@ -73,6 +73,7 @@ from .enumerate1d import (
     CandidateBatch,
     QuarterTable,
     RunBlocks,
+    _ranges,
     assemble_solution,
     encode_batch,
     encode_vector,
@@ -217,9 +218,7 @@ def join_hashes(
     counts -= lo
     del sorted_h, right_h
     # Hit t of right survivor k sits at sorted position lo[k] + t.
-    lo -= np.cumsum(counts) - counts
-    pos = np.repeat(lo, counts) + np.arange(int(counts.sum()))
-    return left_idx[pos], np.repeat(right_idx, counts)
+    return left_idx[_ranges(lo, counts)], np.repeat(right_idx, counts)
 
 
 class SerialBackend:

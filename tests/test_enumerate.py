@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,13 @@ from marketsplit.enumerate1d import (
     RunBlocks,
     SumsetEnumerator,
     _packed_positions,
+    _ranges,
     _run_ends,
+    _runs,
     _shared_values,
     assemble_solution,
     build_quarter_tables,
     permuted_rhs,
-    run_extract,
 )
 from marketsplit.instances import (
     MspInstance,
@@ -130,21 +133,21 @@ class TestRunExtract:
         inst = MspInstance([[1, 1, 2, 3, 4, 5, 6, 7]], [4])
         ta = build_quarter_tables(inst)[0]
         assert ta.weights.tolist() == [0, 1, 1, 2]
-        assert run_extract(ta, 0) == 1
-        assert run_extract(ta, 1) == 3
-        assert run_extract(ta, 3) == 4
+        assert ta.run_end[0] == 1
+        assert ta.run_end[1] == 3
+        assert ta.run_end[3] == 4
         with pytest.raises(IndexError):
-            run_extract(ta, 4)
+            ta.run_end[4]
 
     def test_on_descending_table(self):
         # third block coefficients (2, 2): descending sums 4,2,2,0
         inst = MspInstance([[9, 9, 9, 9, 2, 2, 5, 6]], [4])
         tc = build_quarter_tables(inst)[2]
         assert tc.weights.tolist() == [4, 2, 2, 0]
-        assert run_extract(tc, 0) == 1
-        assert run_extract(tc, 1) == 3
-        assert run_extract(tc, 2) == 3
-        assert run_extract(tc, 3) == 4
+        assert tc.run_end[0] == 1
+        assert tc.run_end[1] == 3
+        assert tc.run_end[2] == 3
+        assert tc.run_end[3] == 4
 
 
 class TestEnumerator:
@@ -258,12 +261,13 @@ class TestPythonHeapDetails:
         tables = build_quarter_tables(inst)
         enum = PairSumEnumerator(tables, int(inst.d[0]))
         while True:
-            h1, h2 = enum.heap_entries()
-            assert len({e.fixed_index for e in h1}) == len(h1)
-            assert len({e.fixed_index for e in h2}) == len(h2)
-            for e in h1:
-                assert e.key == int(tables[0].weights[e.run_index]) + int(
-                    tables[1].weights[e.fixed_index]
+            # heap entries are (key, fixed index, run position) tuples
+            h1, h2 = enum._h1, enum._h2
+            assert len({fixed for _, fixed, _ in h1}) == len(h1)
+            assert len({fixed for _, fixed, _ in h2}) == len(h2)
+            for key, fixed, run in h1:
+                assert key == int(tables[0].weights[run]) + int(
+                    tables[1].weights[fixed]
                 )
             if enum.next_batch() is None:
                 break
@@ -567,6 +571,54 @@ class TestWindowHelpers:
         a = rng.permutation(np.repeat(np.arange(n), 2)).tolist()
         b = rng.permutation(n + 10).tolist()
         _check_window_helpers(a, b)
+
+
+class TestArrayKernels:
+    """`_ranges` and `_runs`, the expansions every run-shaped step uses."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-50, 50), st.integers(0, 6)), max_size=40
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ranges(self, runs):
+        starts = np.array([s for s, _ in runs], dtype=np.int64)
+        lens = np.array([n for _, n in runs], dtype=np.int64)
+        expected = np.concatenate(
+            [np.arange(s, s + n, dtype=np.int64) for s, n in runs] + [[]]
+        )
+        got = _ranges(starts, lens)
+        assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+    def test_ranges_edge_cases(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert _ranges(empty, empty).tolist() == []
+        zeros = np.zeros(3, dtype=np.int64)
+        assert _ranges(np.array([4, 9, 2]), zeros).tolist() == []
+        assert _ranges(np.array([4, 9, 2]), np.array([0, 2, 0])).tolist() == [9, 10]
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_runs(self, values):
+        values.sort()
+        starts, lens = _runs(np.array(values, dtype=np.uint64))
+        expected, at = [], 0
+        for _, group in itertools.groupby(values):
+            n = len(list(group))
+            expected.append((at, n))
+            at += n
+        assert list(zip(starts.tolist(), lens.tolist())) == expected
+
+    @pytest.mark.parametrize("values", [[7], [3, 3, 3], [0, 1, 2], [1, 1, 2]])
+    def test_runs_edge_cases(self, values):
+        starts, lens = _runs(np.array(values, dtype=np.uint64))
+        ends = _run_ends(np.array(values, dtype=np.uint64))
+        assert lens.sum() == len(values) and starts[0] == 0
+        assert ends.tolist() == [
+            next(s + n for s, n in zip(starts, lens) if s <= i < s + n)
+            for i in range(len(values))
+        ]
 
 
 def _batch_sizes(batch) -> tuple[int, int]:

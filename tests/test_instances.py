@@ -262,6 +262,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="length"):
             verify_solution(inst, (1, 0))
 
+    def test_non_binary_entry(self):
+        # A x = 2 != 1, so counting 2 as a chosen column would accept it
+        inst = MspInstance([[1, 1]], [1])
+        for x in ((2, 0), (0, -1)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                verify_solution(inst, x)
+
 
 class TestSolutionHelpers:
     def test_string_round_trip(self):
