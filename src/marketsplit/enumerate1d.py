@@ -21,14 +21,17 @@ else expands them to index pairs only a slice at a time.
 `SumsetEnumerator` is the one enumerator `solve()` runs.  It sweeps
 alpha in windows [lo, hi] over the distinct-weight sumsets uA + uB and
 d_1 - (uC + uD).  Per window, a vectorized `searchsorted` lists the
-distinct-weight pairs whose sums fall in it, and each side's keys
-((sum - lo) << s) | list position get one plain sort (s: the larger
-side's position bits).  The values both sides share are the window's
-alphas, and each alpha's positions are one range of its side's keys,
-already fixed-major.  Windows are cut so neither side holds more than
-4 * 2^(n/4) distinct-weight pairs (one alpha never needs more than
-min(|uA|, |uB|)) and hi - lo < 2^(64 - that cap's bit length), so every
-key is exact.  The alphas then leave in pair-budgeted batches:
+distinct-weight pairs whose sums fall in it, and `_bitmap_survivors`,
+the filter the validator's hash join also runs, drops the sums whose
+low bits the other side lacks: they cannot match.  Each side's
+survivors are packed as keys ((sum - lo) << s) | list position (s: the
+larger side's position bits) and get one plain sort.  The values both
+sides share are the window's alphas, and each alpha's positions are one
+range of its side's keys, already fixed-major; they map back to the
+pairs' runs through the positions.  Windows are cut so neither side
+holds more than 4 * 2^(n/4) distinct-weight pairs (one alpha never
+needs more than min(|uA|, |uB|)) and hi - lo < 2^(64 - that cap's bit
+length), so every key is exact.  The alphas then leave in pair-budgeted batches:
 consecutive alphas, in sweep order and across window boundaries, are
 grouped while the group holds at most `batch_pairs` = max(window cap,
 `BATCH_PAIRS`) index pairs, and an alpha larger than that leaves alone.
@@ -435,7 +438,9 @@ class PairSumEnumerator:
     immutable and safe to hand to other threads.  Heap entries are (key,
     fixed index, run start) tuples, H2's keys negated; each heap has one
     step (`_pop_left`, `_pop_right`) that pops a run and pushes its
-    fixed partner's next run.
+    fixed partner's next run.  A step never lengthens its heap, so the
+    heaps peak at their seeded sizes |B| and |D|: `peak_h1` and
+    `peak_h2`.
     """
 
     def __init__(self, tables: Sequence[QuarterTable], target: int):
@@ -491,8 +496,6 @@ class PairSumEnumerator:
         end = self._rea[i]
         if end < self._na:
             heapreplace(h1, (self._wa[end] + self._wb[j], j, end))
-            if len(h1) > self.peak_h1:
-                self.peak_h1 = len(h1)
         else:
             heappop(h1)
         return i, end, j
@@ -504,8 +507,6 @@ class PairSumEnumerator:
         end = self._rec[k]
         if end < self._nc:
             heapreplace(h2, (-(self._wc[end] + self._wd[l]), l, end))
-            if len(h2) > self.peak_h2:
-                self.peak_h2 = len(h2)
         else:
             heappop(h2)
         return k, end, l
@@ -538,9 +539,10 @@ class _SumsetSide:
         if v < 0:
             return np.zeros(len(self.u_fx), dtype=np.int64)
         v = np.uint64(v)
-        # v - u_fx wraps where u_fx > v; those rows are masked to 0.
+        # v - u_fx wraps where u_fx > v; those rows are set to 0.
         below = np.searchsorted(self.u_in, v - self.u_fx, side="right")
-        return np.where(self.u_fx <= v, below, 0)
+        below[self.u_fx > v] = 0
+        return below
 
     def sums(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
         """Sums, x and y of the pairs (x, y) with lo[y] <= x < hi[y], y-major."""
@@ -563,8 +565,40 @@ class _SumsetSide:
         x, y = x[pos], y[pos]
         fields = self.in_start[x], self.in_len[x], self.fx_start[y], self.fx_len[y]
         at = _offsets(per_key)
-        pairs = np.diff(_offsets(fields[1] * fields[3])[at])
+        # every common sum has at least one block, so no segment is empty
+        pairs = np.add.reduceat(fields[1] * fields[3], at[:-1])
         return fields, at, pairs
+
+
+def _bitmap_survivors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending positions in uint64 arrays `a` and `b` whose low `bits`
+    the other side also marks: a superset of the positions of every
+    value both hold.
+
+    `bits` is the smaller side's bit length plus 3, clamped to [10, 24],
+    so the byte bitmap holds at least eight slots per marked value and
+    never exceeds 16 MiB.  The smaller side's slots are marked 1, the
+    larger side's values on a mark survive; their slots are marked 2,
+    and the smaller side's values on a 2 survive.  Positions are int64;
+    both are empty when nothing survives.
+    """
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    bits = min(max(len(small).bit_length() + 3, 10), 24)
+    mask = np.uint64((1 << bits) - 1)
+    # Masked values are below 2^24, so the int64 view is exact.
+    small_slots = (small & mask).view(np.int64)
+    big_slots = (big & mask).view(np.int64)
+    bitmap = np.zeros(1 << bits, dtype=np.uint8)
+    bitmap[small_slots] = 1
+    # marks are 0 or 1 here, valid as bool, whose nonzero scan is fastest
+    big_idx = bitmap[big_slots].view(np.bool_).nonzero()[0]
+    if not len(big_idx):  # the common case for small hash batches
+        return big_idx, big_idx
+    bitmap[big_slots[big_idx]] = 2
+    del big_slots
+    # Not empty: every slot marked 2 was marked 1 by the smaller side.
+    small_idx = (bitmap[small_slots] == 2).nonzero()[0]
+    return (small_idx, big_idx) if small is a else (big_idx, small_idx)
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -611,10 +645,11 @@ class SumsetEnumerator:
     Alpha is swept in windows [lo, hi] (see the module docstring).  Per
     fixed run, `_lcount`/`_rcount` are the sweep's frontiers: the
     inner-run counts with sum below lo, and with right sum at most
-    d_1 - lo.  `window_pairs` caps the distinct-weight pairs either side
-    holds per window (default: the total table size, the four-table
-    space bound); `peak_window_pairs` is the most either side held, and
-    `windows` counts the windows cut.
+    d_1 - lo; `_l_total`/`_r_total` are their sums.  `window_pairs`
+    caps the distinct-weight pairs either side holds per window
+    (default: the total table size, the four-table space bound);
+    `peak_window_pairs` is the most either side held, and `windows`
+    counts the windows cut.
     Every batch is a pair-budgeted group (`alphas` set): consecutive
     alphas holding at most `batch_pairs` = max(`window_pairs`,
     `BATCH_PAIRS`) pairs on both sides together, or one alpha over that.
@@ -642,6 +677,7 @@ class SumsetEnumerator:
         self._width = self._end - self._lo + 1
         self._lcount = self._left.count_le(self._lo - 1)
         self._rcount = self._right.count_le(self.target - self._lo)
+        self._l_total, self._r_total = int(self._lcount.sum()), int(self._rcount.sum())
         self._pending: deque[CandidateBatch] = deque()
         # the open group: per window part, its alphas, index pairs per
         # alpha on each side, and the four block fields of each side
@@ -670,15 +706,15 @@ class SumsetEnumerator:
                 return None
         return self._pending.popleft()
 
-    def _probe(self, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+    def _probe(self, hi: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+        """(pairs held, the frontiers and their totals) for window end hi."""
         lcount = self._left.count_le(hi)
         rcount = self._right.count_le(self.target - hi - 1)
-        held = max(
-            int((lcount - self._lcount).sum()), int((self._rcount - rcount).sum())
-        )
-        return held, lcount, rcount
+        l_total, r_total = int(lcount.sum()), int(rcount.sum())
+        held = max(l_total - self._l_total, self._r_total - r_total)
+        return held, lcount, rcount, l_total, r_total
 
-    def _cut(self) -> tuple[int, tuple[int, np.ndarray, np.ndarray]]:
+    def _cut(self) -> tuple[int, tuple[int, np.ndarray, np.ndarray, int, int]]:
         """A window end hi >= lo whose sides hold at most `window_pairs`
         pairs, aiming for more than half that, with hi - lo < 2^(64 -
         window_pairs.bit_length()) so its packed keys are exact.  Starts
@@ -707,24 +743,30 @@ class SumsetEnumerator:
         return low, probe
 
     def _sweep_window(self) -> None:
-        hi, (held, lcount, rcount) = self._cut()
+        hi, (held, lcount, rcount, l_total, r_total) = self._cut()
         self.windows += 1
         self.peak_window_pairs = max(self.peak_window_pairs, held)
         lo, l_lo, r_hi = self._lo, self._lcount, self._rcount
         self._lo, self._lcount, self._rcount = hi + 1, lcount, rcount
-        l_key, l_x, l_y = self._left.sums(l_lo, lcount)
-        r_key, r_x, r_y = self._right.sums(rcount, r_hi)
-        if not len(l_key) or not len(r_key):
+        self._l_total, self._r_total = l_total, r_total
+        l_val, l_x, l_y = self._left.sums(l_lo, lcount)
+        r_val, r_x, r_y = self._right.sums(rcount, r_hi)
+        l_val -= np.uint64(lo)
+        np.subtract(np.uint64(self.target - lo), r_val, out=r_val)
+        # only sums whose low bits the other side also holds can match
+        l_pos, r_pos = _bitmap_survivors(l_val, r_val)
+        if not len(l_pos):
             return
-        # one plain sort of each side's keys ((sum - lo) << s) | position:
-        # the alphas are the values both share, each one's positions a range
-        s = max(len(l_key), len(r_key)).bit_length()
+        # one plain sort of each side's survivor keys ((sum - lo) << s) |
+        # position: the alphas are the values both share, each one's
+        # positions a range
+        s = max(len(l_val), len(r_val)).bit_length()
         assert hi - lo < 1 << (64 - s), "window too wide for its packed keys"
-        l_key -= np.uint64(lo)
-        np.subtract(np.uint64(self.target - lo), r_key, out=r_key)
-        for key in (l_key, r_key):
+        l_key, r_key = l_val[l_pos], r_val[r_pos]
+        del l_val, r_val
+        for key, pos in ((l_key, l_pos), (r_key, r_pos)):
             key <<= np.uint64(s)
-            key |= np.arange(len(key), dtype=np.uint64)
+            key |= pos.view(np.uint64)
             key.sort()
         l_sum, r_alpha = l_key >> np.uint64(s), r_key >> np.uint64(s)
         common = _shared_values(l_sum, r_alpha)

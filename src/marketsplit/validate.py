@@ -30,18 +30,19 @@ minus it (right) must be the block's alpha.  The blocks of a chunk are
 checked before the chunk is first joined, so the check's temporaries
 scale with the chunk, not with the batch.
 
-`join_hashes` finds the equal-hash pairs.  It marks the low `bits` of
-the smaller side's hashes in a byte bitmap, keeps the larger side's
-hashes that land on a mark, marks those survivors and filters the
-smaller side against them.  One sort of both sides' survivors then
-settles it: no repeated value (almost always) means no shared hash,
-and only if one repeats are the survivors paired by exact value.
-`bits` comes from the batch: bit_length of the smaller side plus 3,
-clamped to [10, 24], so the bitmap holds at least eight slots per
-marked hash and never exceeds 16 MiB.  Hash equality is
-never trusted: every hit is confirmed by exact residual comparison and
-a full re-verification of the assembled solution, so the hash affects
-speed only.
+`join_hashes` finds the equal-hash pairs.  It first runs the two-way
+bitmap filter it shares with the enumerator's window sweep
+(`enumerate1d._bitmap_survivors`): the low `bits` of the smaller
+side's hashes are marked in a byte bitmap, the larger side's hashes
+that land on a mark survive, and their marks in turn filter the smaller
+side.  One sort of both sides' survivors then settles it: no repeated
+value (almost always) means no shared hash, and only if one repeats are
+the survivors paired by exact value.  `bits` comes from the batch:
+bit_length of the smaller side plus 3, clamped to [10, 24], so the
+bitmap holds at least eight slots per marked hash and never exceeds
+16 MiB.  Hash equality is never trusted: every hit is confirmed by
+exact residual comparison and a full re-verification of the assembled
+solution, so the hash affects speed only.
 
 Backend "parallel" is the production path; "serial" is the pure-Python
 reference, which hashes built residuals and joins by sort and bisection.
@@ -73,6 +74,7 @@ from .enumerate1d import (
     CandidateBatch,
     QuarterTable,
     RunBlocks,
+    _bitmap_survivors,
     _ranges,
     assemble_solution,
     encode_batch,
@@ -176,30 +178,13 @@ def join_hashes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) with left[i] == right[j], ordered by j, then i.
 
-    Bitmap filters, then one sort of the survivors: see the module
-    docstring.  Inputs are uint64 arrays; outputs aligned int64 indices.
+    The shared bitmap filter, then one sort of the survivors: see the
+    module docstring.  Inputs are uint64 arrays; outputs aligned int64
+    indices.
     """
-    small, big = (left, right) if len(left) <= len(right) else (right, left)
-    bits = min(max(len(small).bit_length() + 3, 10), 24)  # <= 16 MiB
-    mask = np.uint64((1 << bits) - 1)
-    # Masked values are below 2^24, so the int64 view is exact.
-    small_slots = (small & mask).view(np.int64)
-    big_slots = (big & mask).view(np.int64)
-    bitmap = np.zeros(1 << bits, dtype=np.bool_)
-    bitmap[small_slots] = True
-    big_idx = np.flatnonzero(bitmap[big_slots])
-    if not len(big_idx):  # the common case for small batches
-        return big_idx, big_idx
-    bitmap[small_slots] = False
-    bitmap[big_slots[big_idx]] = True
-    del big_slots
-    # Not empty: every surviving slot was marked by the smaller side.
-    small_idx = np.flatnonzero(bitmap[small_slots])
-    if small is left:
-        left_idx, right_idx = small_idx, big_idx
-    else:
-        left_idx, right_idx = big_idx, small_idx
-    del small_slots, bitmap, small_idx, big_idx
+    left_idx, right_idx = _bitmap_survivors(left, right)
+    if not len(left_idx):
+        return left_idx, right_idx
 
     # one sort of both sides' survivors: no repeat, no hit (the usual case)
     both = np.empty(len(left_idx) + len(right_idx), dtype=np.uint64)

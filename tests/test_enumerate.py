@@ -14,6 +14,7 @@ from marketsplit.enumerate1d import (
     PairSumEnumerator,
     RunBlocks,
     SumsetEnumerator,
+    _bitmap_survivors,
     _packed_positions,
     _ranges,
     _run_ends,
@@ -248,7 +249,22 @@ class TestEnumerator:
         inst = seeded_instance(13, m=1, n=15, k=10)
         tables = build_quarter_tables(inst)
         enum = PairSumEnumerator(tables, int(inst.d[0]))
+        lengths = []  # both heaps' lengths after every heap step
+
+        def checked(step):
+            def run():
+                out = step()
+                lengths.append((len(enum._h1), len(enum._h2)))
+                return out
+            return run
+
+        enum._pop_left = checked(enum._pop_left)
+        enum._pop_right = checked(enum._pop_right)
         drain_all_batches(enum)
+        assert enum.exhausted and len(lengths) > 2
+        assert all(
+            h1 <= tables[1].size and h2 <= tables[3].size for h1, h2 in lengths
+        )
         assert enum.peak_h1 <= tables[1].size
         assert enum.peak_h2 <= tables[3].size
 
@@ -386,6 +402,36 @@ def batch_stream(enum) -> list[tuple]:
     return batch_stream_of(drain_all_batches(enum))
 
 
+def _recording_survivors(monkeypatch) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Patch the sweep's filter to record, per call, both sides' sizes
+    and the survivors kept on each."""
+    calls = []
+    survivors = enumerate1d._bitmap_survivors
+
+    def recording(a, b):
+        pa, pb = survivors(a, b)
+        calls.append(((len(a), len(b)), (len(pa), len(pb))))
+        return pa, pb
+
+    monkeypatch.setattr(enumerate1d, "_bitmap_survivors", recording)
+    return calls
+
+
+def _recording_cut(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch `SumsetEnumerator._cut` to record each window's (lo, hi,
+    pairs held)."""
+    windows = []
+    cut = SumsetEnumerator._cut
+
+    def recording_cut(self):
+        hi, probe = cut(self)
+        windows.append((self._lo, hi, probe[0]))
+        return hi, probe
+
+    monkeypatch.setattr(SumsetEnumerator, "_cut", recording_cut)
+    return windows
+
+
 class TestSumsetEnumerator:
     """The production engine against the heap reference and the oracle."""
 
@@ -488,6 +534,51 @@ class TestSumsetEnumerator:
         assert enum.next_batch() is None and enum.exhausted
         assert enum.windows > 1 and enum.peak_window_pairs > 0
 
+    @pytest.mark.parametrize("window", [None, 1, 7])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_filter_passes_multiples_of_2_20(self, monkeypatch, seed, window):
+        # every weight and d a multiple of 2^20: a window's sums minus lo
+        # share their low 20 bits, more than the bitmap of these sides
+        # uses, so every sum survives the filter (a window with one side
+        # empty keeps nothing)
+        base = seeded_instance(seed, m=2, n=12 + seed, k=100)
+        shift = np.uint64(20)
+        inst = MspInstance((base.a << shift).tolist(), (base.d << shift).tolist())
+        calls = _recording_survivors(monkeypatch)
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        expected = batch_stream(PairSumEnumerator(tables, target))
+        assert expected
+        assert batch_stream(SumsetEnumerator(tables, target, window)) == expected
+        both = [(sizes, kept) for sizes, kept in calls if min(sizes)]
+        assert both and all(kept == sizes for sizes, kept in both)
+
+    def test_false_positive_survivors_emit_nothing(self, monkeypatch):
+        # first-row weights even multiples of 2^24, d_1 an odd one: the
+        # sides never share an alpha, yet every sum minus lo has the same
+        # low 24 bits on both sides, so every sum survives the filter
+        rng = SplitMix64(33)
+        rows = [[(2 + 2 * rng.below(4999)) << 24 for _ in range(16)], [1] * 16]
+        d_1 = (sum(rows[0]) // 2) | (1 << 24)
+        inst = MspInstance(rows, [d_1, 8])
+        calls = _recording_survivors(monkeypatch)
+        windows = _recording_cut(monkeypatch)
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        assert batch_stream(PairSumEnumerator(tables, target)) == []
+        enum = SumsetEnumerator(tables, target, 7)
+        start, end = enum._lo, enum._end
+        assert enum.next_batch() is None and enum.exhausted
+        both = [(sizes, kept) for sizes, kept in calls if min(sizes)]
+        assert len(both) > 1 and all(kept == sizes for sizes, kept in both)
+        # every window counted, and together they tile the alpha range
+        assert enum.windows == len(windows) > 1
+        starts = [lo for lo, _, _ in windows]
+        assert starts == [start] + [hi + 1 for _, hi, _ in windows[:-1]]
+        assert windows[-1][1] == end and enum._lo == end + 1
+        assert (enum._lcount == enum._left.count_le(end)).all()
+        assert (enum._rcount == enum._right.count_le(target - end - 1)).all()
+
     def test_stream_equals_heap_at_n40(self):
         inst = generate_instance(5, 100, 1)
         tables = build_quarter_tables(inst)
@@ -522,16 +613,21 @@ _window_sides = st.lists(_window_values, min_size=1, max_size=60)
 def _check_window_helpers(a: list[int], b: list[int]) -> None:
     """`_shared_values` and `_packed_positions` against a dict from value
     to ascending positions, for both sides.  Each side is packed as the
-    window does: sorted keys (value << s) | list position, with s the
-    bit length of the larger side."""
+    window does: only the positions `_bitmap_survivors` keeps, as sorted
+    keys (value << s) | original list position, with s the bit length
+    of the larger whole side."""
     s = max(len(a), len(b)).bit_length()
     a, b = ([v % 2 ** (64 - s) for v in side] for side in (a, b))
+    expected = sorted(set(a) & set(b))
+    kept = _bitmap_survivors(np.array(a, np.uint64), np.array(b, np.uint64))
+    if not len(kept[0]):  # the window stops here
+        assert not expected and not len(kept[1])
+        return
     packed = []
-    for side in (a, b):
-        keys = np.array(sorted(v << s | i for i, v in enumerate(side)), np.uint64)
+    for side, pos in zip((a, b), kept):
+        keys = np.array(sorted(side[i] << s | i for i in pos.tolist()), np.uint64)
         packed.append((keys, keys >> np.uint64(s)))
     common = _shared_values(packed[0][1], packed[1][1])
-    expected = sorted(set(a) & set(b))
     assert common.dtype == np.uint64 and common.tolist() == expected
     for side, (keys, values) in zip((a, b), packed):
         where: dict[int, list[int]] = {}
@@ -543,9 +639,9 @@ def _check_window_helpers(a: list[int], b: list[int]) -> None:
 
 
 class TestWindowHelpers:
-    """The window step: each side packed with its positions and sorted
-    once, the values both share, and each shared value's positions in
-    (value, position) order."""
+    """The window step: each side's filter survivors packed with their
+    original positions and sorted once, the values both share, and each
+    shared value's positions in (value, position) order."""
 
     @given(a=_window_sides, b=_window_sides)
     @settings(max_examples=300, deadline=None)

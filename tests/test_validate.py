@@ -17,6 +17,7 @@ from marketsplit.enumerate1d import (
     PairSumEnumerator,
     RunBlocks,
     SumsetEnumerator,
+    _bitmap_survivors,
     build_quarter_tables,
     hash_multipliers,
     permuted_rhs,
@@ -285,6 +286,59 @@ class TestJoinKernel:
             li, ri = join_hashes(lh, rh)
             assert len(li) == len(ri) == 0
             assert li.dtype == ri.dtype == np.int64
+
+
+def _assert_join_equals_serial(left: np.ndarray, right: np.ndarray) -> None:
+    li, ri = join_hashes(left, right)
+    si, sj = SerialBackend().join(left, right)
+    assert li.tolist() == si.tolist() and ri.tolist() == sj.tolist()
+
+
+class TestBitmapSurvivors:
+    """The two-way bitmap filter that both the window sweep and
+    `join_hashes` run: it may keep extra positions, never drop a match."""
+
+    @given(
+        st.lists(st.integers(0, 6), max_size=40),
+        st.lists(st.integers(0, 6), max_size=40),
+        st.sampled_from([1, 1 << 10, 1 << 24, 1 << 40, (1 << 64) - 7]),
+    )
+    @settings(max_examples=300)
+    def test_keeps_every_match(self, left, right, high):
+        # a large `high` gives distinct values equal low bits
+        def spread(vals):
+            return np.array(
+                [((v & 1) + (v >> 1) * high) % 2**64 for v in vals], dtype=np.uint64
+            )
+
+        a, b = spread(left), spread(right)
+        pa, pb = _bitmap_survivors(a, b)
+        assert pa.dtype == pb.dtype == np.int64
+        for pos, side in ((pa, a), (pb, b)):
+            assert pos.tolist() == sorted(set(pos.tolist()))
+            assert all(0 <= p < len(side) for p in pos.tolist())
+        kept_a, kept_b = set(pa.tolist()), set(pb.tolist())
+        for i, j in brute_force_join(a.tolist(), b.tolist()):
+            assert i in kept_a and j in kept_b
+        assert (len(pa) == 0) == (len(pb) == 0)
+        if not len(a) or not len(b):
+            assert len(pa) == len(pb) == 0
+        _assert_join_equals_serial(a, b)
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (3, 1000), (2000, 7), (5000, 5000)])
+    def test_equal_low_bits_keep_every_position(self, n_a, n_b):
+        # every value has the same low 24 bits, the most any bitmap uses
+        rng = np.random.default_rng(n_a + n_b)
+        low = np.uint64(0xABCDEF)
+        a, b = (
+            rng.integers(0, 2**40, size=n, dtype=np.uint64) << np.uint64(24) | low
+            for n in (n_a, n_b)
+        )
+        pa, pb = _bitmap_survivors(a, b)
+        assert pa.tolist() == list(range(n_a)) and pb.tolist() == list(range(n_b))
+        _assert_join_equals_serial(a, b)
+        b[: min(n_a, n_b)] = a[: min(n_a, n_b)]  # now with hits
+        _assert_join_equals_serial(a, b)
 
 
 class TestResiduals:

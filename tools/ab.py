@@ -1,0 +1,168 @@
+"""In-process A/B timing of two checkouts' solvers on one perfbench workload.
+
+    python tools/ab.py PARENT_SRC CHANGE_SRC --workload NAME [--rounds N]
+                       [--seeds 1,3 | --smoke]
+
+PARENT_SRC and CHANGE_SRC are `src` directories, each holding a
+`marketsplit` package.  Both packages are loaded into this one process
+under their own module names (every import inside the package is
+relative), so they run with the same interpreter, heap and CPU state;
+timings of two checkouts run as separate processes also differ by how
+the files happen to lie in memory, which can hide a gain or loss of a
+few percent.
+
+The instances and the pinned solver configuration come from
+`perfbench/workloads.py`, read only.  An untimed warm-up round checks
+both trees' answers against the frozen reference; every round then
+asserts that the two trees return the same solutions and the same
+`SolveStats` counters (every field but the `t_*` timings).  Each round
+solves the workload's seeds back to back with each tree, alternating
+which tree goes first.  The report gives each tree's median and
+quartiles of the round times and the median and interquartile range of
+the per-round ratios change / parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_package(src: Path, name: str):
+    """The `marketsplit` package under `src`, imported as module `name`."""
+    pkg = src / "marketsplit"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    if spec is None or spec.loader is None:
+        raise ImportError(f"no marketsplit package under {src}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def counters(stats) -> dict:
+    """Every `SolveStats` field but the timings."""
+    return {k: v for k, v in dataclasses.asdict(stats).items() if not k.startswith("t_")}
+
+
+class Tree:
+    """One checkout's package with the workload's instances parsed by it."""
+
+    def __init__(self, label: str, src: Path, workload, texts: list[str]):
+        self.label = label
+        self.ms = load_package(src, f"marketsplit_{label}")
+        self.cfg = workload.config(self.ms)
+        self.instances = [self.ms.parse_instance(text) for text in texts]
+        self.times: list[float] = []
+
+    def run(self) -> tuple[float, list]:
+        """Seconds to solve every instance back to back, and the results."""
+        gc.collect()
+        t0 = time.perf_counter()
+        results = [self.ms.solve(inst, self.cfg) for inst in self.instances]
+        return time.perf_counter() - t0, results
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent_src", type=Path, help="src directory of the parent checkout")
+    p.add_argument("change_src", type=Path, help="src directory of the changed checkout")
+    p.add_argument("--workload", required=True, help="a perfbench workload name")
+    p.add_argument("--rounds", type=int, default=10, help="timed rounds (default 10)")
+    p.add_argument(
+        "--seeds",
+        type=lambda s: tuple(int(x) for x in s.split(",")),
+        help="comma-separated instance seeds (default: the workload's frozen ones)",
+    )
+    p.add_argument(
+        "--smoke",
+        action="store_true",
+        help="the workload's configuration on the (3,20,100) smoke instance",
+    )
+    args = p.parse_args(argv)
+    if args.smoke and args.seeds:
+        p.error("--smoke and --seeds exclude each other")
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    sys.path.insert(0, str(PERFBENCH))
+    from workloads import (
+        WORKLOADS, check_answer, instance_name, load_reference, load_text,
+    )
+
+    if args.workload not in WORKLOADS:
+        raise SystemExit(
+            f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}"
+        )
+    workload = WORKLOADS[args.workload]
+    if args.smoke:
+        workload = workload.smoke()
+    seeds = args.seeds or workload.seeds
+    reference = load_reference()
+    texts = [load_text(workload.m, s, reference) for s in seeds]
+    entries = [reference["instances"][instance_name(workload.m, s)] for s in seeds]
+    parent = Tree("parent", args.parent_src.resolve(), workload, texts)
+    change = Tree("change", args.change_src.resolve(), workload, texts)
+
+    # warm-up, untimed: both trees must match the frozen reference
+    for tree in (parent, change):
+        _, results = tree.run()
+        for seed, inst, entry, result in zip(seeds, tree.instances, entries, results):
+            reason = check_answer(result, inst, entry, workload.mode, tree.ms)
+            if reason is not None:
+                raise SystemExit(f"{tree.label}, seed {seed}: {reason}")
+
+    ratios = []
+    for r in range(args.rounds):
+        order = (parent, change) if r % 2 == 0 else (change, parent)
+        outcomes = {}
+        for tree in order:
+            seconds, results = tree.run()
+            tree.times.append(seconds)
+            outcomes[tree.label] = [
+                (res.solutions, counters(res.stats)) for res in results
+            ]
+        for seed, got, expected in zip(seeds, outcomes["change"], outcomes["parent"]):
+            if got != expected:
+                raise SystemExit(f"round {r}, seed {seed}: answers or counters differ")
+        ratios.append(change.times[-1] / parent.times[-1])
+
+    print(
+        f"workload {workload.name}, seeds {','.join(map(str, seeds))}, "
+        f"{args.rounds} rounds; same answers and counters in every round"
+    )
+    for tree in (parent, change):
+        q1, q2, q3 = quartiles(tree.times)
+        print(f"{tree.label:>6}: median {q2:.4f} s  (quartiles {q1:.4f}, {q3:.4f})")
+    q1, q2, q3 = quartiles(ratios)
+    wins = sum(x < 1 for x in ratios)
+    print(
+        f" ratio: median {q2:.3f}  IQR {q3 - q1:.3f}  (quartiles {q1:.3f}, {q3:.3f}); "
+        f"change faster in {wins}/{len(ratios)} rounds"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
