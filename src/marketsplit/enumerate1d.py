@@ -37,10 +37,10 @@ grouped while the group holds at most `batch_pairs` = max(window cap,
 `BATCH_PAIRS`) index pairs, and an alpha larger than that leaves alone.
 A group is closed when its next alpha would overflow it, or when the
 sweep ends.  Its sides are `RunBlocks` built once from its windows'
-blocks, with the sorted alphas and each alpha's left and right pair
-edges (block boundaries), so the validator checks the whole group in
-one join.  Split per alpha (`CandidateBatch.per_alpha`), both
-enumerators give the same stream.
+blocks, with the sorted alphas and each alpha's left and right block
+offsets, so the validator checks the whole group in one join.  The heap
+emits the same format with one alpha per batch; split per alpha
+(`CandidateBatch.per_alpha`), both enumerators give the same stream.
 
 `PairSumEnumerator` is the paper's heap formulation, kept as the
 reference the sumset sweep is tested against.  H1 is a min-heap holding
@@ -231,22 +231,23 @@ class RunBlocks:
     fixed_start[b] + t) with s < inner_len[b] and t < fixed_len[b] (both
     lengths >= 1), listed t-major: `fixed_len[b]` rows, each one fixed
     index with a contiguous run of inner indices.  The blocks follow each
-    other in array order.  `len()` counts pairs, and `[lo:hi]` expands
-    just that range to a (hi - lo, 2) int64 array, so a consumer working
-    in chunks never holds the whole side; `sums` evaluates a per-pair sum
-    over a range without building the pairs, and `pairs_at` builds the
-    pairs at given positions only.  Rows expand to inner indices with
-    `_ranges`.
+    other in array order; `starts[b]` is block b's first pair offset, and
+    `starts[-1]` the pair count.  `len()` counts pairs, and `[lo:hi]`
+    expands just that range to a (hi - lo, 2) int64 array, so a consumer
+    working in chunks never holds the whole side; `sums` evaluates a
+    per-pair sum over a range without building the pairs, and `pairs_at`
+    builds the pairs at given positions only.  Rows expand to inner
+    indices with `_ranges`.
     """
 
-    __slots__ = ("inner_start", "inner_len", "fixed_start", "fixed_len", "_ends")
+    __slots__ = ("inner_start", "inner_len", "fixed_start", "fixed_len", "starts")
 
     def __init__(self, inner_start, inner_len, fixed_start, fixed_len):
         self.inner_start = inner_start
         self.inner_len = inner_len
         self.fixed_start = fixed_start
         self.fixed_len = fixed_len
-        self._ends = np.cumsum(inner_len * fixed_len)
+        self.starts = _offsets(inner_len * fixed_len)
 
     @classmethod
     def from_pairs(cls, pairs) -> "RunBlocks":
@@ -256,7 +257,7 @@ class RunBlocks:
         return cls(pairs[:, 0].copy(), ones, pairs[:, 1].copy(), ones)
 
     def __len__(self) -> int:
-        return int(self._ends[-1]) if len(self._ends) else 0
+        return int(self.starts[-1])
 
     def __getitem__(self, key) -> np.ndarray:
         if not isinstance(key, slice) or key.step not in (None, 1):
@@ -272,17 +273,17 @@ class RunBlocks:
 
     def block_range(self, lo: int, hi: int) -> tuple[int, int]:
         """Blocks b0..b1-1, the ones holding pairs lo..hi-1 (lo < hi)."""
-        ends = self._ends
-        if lo == 0 and hi == int(ends[-1]):
-            return 0, len(ends)
-        b0 = int(ends.searchsorted(lo, side="right"))
-        return b0, int(ends.searchsorted(hi - 1, side="right")) + 1
+        starts = self.starts
+        if lo == 0 and hi == int(starts[-1]):
+            return 0, len(starts) - 1
+        b0 = int(starts.searchsorted(lo, side="right")) - 1
+        return b0, int(starts.searchsorted(hi))
 
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(first inner index, length, fixed index) of each row holding
         pairs lo..hi-1 (lo < hi), the first and last row clipped to them."""
-        ends = self._ends
-        whole = lo == 0 and hi == int(ends[-1])
+        starts = self.starts
+        whole = lo == 0 and hi == int(starts[-1])
         b0, b1 = self.block_range(lo, hi)
         k = self.fixed_len[b0:b1]
         inner, lens = self.inner_start[b0:b1], self.inner_len[b0:b1]
@@ -295,9 +296,8 @@ class RunBlocks:
             return inner, lens, fixed
         # before lo: t0 whole rows and c0 pairs of the first block; after
         # hi: t1 whole rows and c1 pairs of the last block
-        first_len, last_len = int(lens[0]), int(lens[-1])
-        t0, c0 = divmod(lo - (int(ends[b0]) - int(k[0]) * first_len), first_len)
-        t1, c1 = divmod(int(ends[b1 - 1]) - hi, last_len)
+        t0, c0 = divmod(lo - int(starts[b0]), int(lens[0]))
+        t1, c1 = divmod(int(starts[b1]) - hi, int(lens[-1]))
         r1 = n_rows - t1
         inner, lens, fixed = inner[t0:r1].copy(), lens[t0:r1].copy(), fixed[t0:r1]
         inner[0] += c0
@@ -326,25 +326,12 @@ class RunBlocks:
 
     def pairs_at(self, pos: np.ndarray) -> np.ndarray:
         """The (k, 2) index pairs at flat positions `pos` (ints in [0, len))."""
-        ends = self._ends
-        b = ends.searchsorted(pos, side="right")
-        lens = self.inner_len[b]
-        t, s = np.divmod(pos - (ends[b] - lens * self.fixed_len[b]), lens)
+        b = self.starts.searchsorted(pos, side="right") - 1
+        t, s = np.divmod(pos - self.starts[b], self.inner_len[b])
         out = np.empty((len(pos), 2), dtype=np.int64)
         out[:, 0] = self.inner_start[b] + s
         out[:, 1] = self.fixed_start[b] + t
         return out
-
-    def block_edges(self, edges: np.ndarray) -> np.ndarray | None:
-        """Block index at each pair offset in `edges` (an int64 array), or
-        None if an offset falls inside a block."""
-        ends = self._ends
-        if len(ends) == len(self):  # one pair per block
-            return edges
-        at = ends.searchsorted(edges, side="right")
-        start = ends[at - 1]  # at == 0 reads the last end; reset below
-        start[at == 0] = 0
-        return at if (start == edges).all() else None
 
     def sub(self, b0: int, b1: int) -> "RunBlocks":
         """Blocks b0..b1-1 as their own side."""
@@ -358,34 +345,40 @@ class RunBlocks:
 
 @dataclass(frozen=True)
 class CandidateBatch:
-    """All left pairs of weight alpha and right pairs of weight beta.
+    """The candidate pairs of one or more consecutive alphas, ascending.
 
     `left_pairs` holds index pairs into tables A and B (`[:, 0]` of an
-    expansion indexes A), `right_pairs` likewise into C and D.  alpha +
-    beta equals the enumeration target.  Both sides are `RunBlocks`; a
-    (k, 2) int64 array given for a side is stored as k one-pair blocks.
-    Either way, `left_pairs[lo:hi]` is an array.
-
-    A grouped batch (`alphas` given, as `SumsetEnumerator` emits) holds
-    one or more consecutive alphas, ascending: the pairs of `alphas[i]`
-    are `left_pairs[left_edges[i]:left_edges[i+1]]` and likewise on the
-    right, each alpha with pairs on both sides, and every edge on a block
-    boundary; `alpha` and `beta` are those of `alphas[0]`.
+    expansion indexes A), `right_pairs` likewise into C and D, both as
+    `RunBlocks`; a pair of weight alpha on the left partners those of
+    weight beta = `target` - alpha on the right.  `left_at` and
+    `right_at` are block offsets: `alphas[i]` owns the blocks
+    `left_at[i]:left_at[i+1]` of the left side, at least one, and
+    likewise on the right, so `left_at[0] == 0` and `left_at[-1]` is the
+    left block count.  `alpha` and `beta` are those of `alphas[0]`.  The
+    heap emits one alpha per batch (`of_alpha`), the sumset sweep
+    pair-budgeted groups.
     """
 
-    alpha: int
-    beta: int
+    target: int
+    alphas: np.ndarray
     left_pairs: RunBlocks
     right_pairs: RunBlocks
-    alphas: np.ndarray | None = None
-    left_edges: np.ndarray | None = None
-    right_edges: np.ndarray | None = None
+    left_at: np.ndarray
+    right_at: np.ndarray
 
-    def __post_init__(self):
-        for name in ("left_pairs", "right_pairs"):
-            side = getattr(self, name)
-            if not isinstance(side, RunBlocks):
-                object.__setattr__(self, name, RunBlocks.from_pairs(side))
+    @classmethod
+    def of_alpha(cls, target: int, alpha: int, left, right) -> "CandidateBatch":
+        """The batch of one alpha: every block of `left` and `right`."""
+        at = (np.array([0, len(s.inner_start)], dtype=np.int64) for s in (left, right))
+        return cls(target, np.array([alpha], dtype=np.uint64), left, right, *at)
+
+    @property
+    def alpha(self) -> int:
+        return int(self.alphas[0])
+
+    @property
+    def beta(self) -> int:
+        return self.target - self.alpha
 
     @property
     def n_left(self) -> int:
@@ -396,27 +389,21 @@ class CandidateBatch:
         return len(self.right_pairs)
 
     def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(alphas, left pair edges, right pair edges) as arrays, also for a
-        batch of one alpha."""
-        if self.alphas is None:
-            return (
-                np.array([self.alpha], dtype=np.uint64),
-                np.array([0, self.n_left], dtype=np.int64),
-                np.array([0, self.n_right], dtype=np.int64),
-            )
-        return self.alphas, self.left_edges, self.right_edges
+        """(alphas, left pair edges, right pair edges): alpha i's pairs are
+        `left_pairs[edges[i]:edges[i+1]]`, likewise on the right."""
+        return (
+            self.alphas,
+            self.left_pairs.starts[self.left_at],
+            self.right_pairs.starts[self.right_at],
+        )
 
     def per_alpha(self) -> list["CandidateBatch"]:
         """The batch as one single-alpha batch per alpha."""
-        if self.alphas is None:
-            return [self]
-        target = self.alpha + self.beta
         left, right = self.left_pairs, self.right_pairs
-        l_at = left.block_edges(self.left_edges).tolist()
-        r_at = right.block_edges(self.right_edges).tolist()
+        l_at, r_at = self.left_at.tolist(), self.right_at.tolist()
         return [
-            CandidateBatch(
-                alpha, target - alpha,
+            CandidateBatch.of_alpha(
+                self.target, alpha,
                 left.sub(l_at[i], l_at[i + 1]),
                 right.sub(r_at[i], r_at[i + 1]),
             )
@@ -487,7 +474,9 @@ class PairSumEnumerator:
         right: list[int] = []
         while h2 and h2[0][0] == neg_beta:
             right.extend(self._pop_right())
-        return CandidateBatch(alpha, -neg_beta, _segments(left), _segments(right))
+        return CandidateBatch.of_alpha(
+            self.target, alpha, _segments(left), _segments(right)
+        )
 
     def _pop_left(self) -> tuple[int, int, int]:
         """Pop H1's top A run, push its B partner's next: (start, end, j)."""
@@ -556,18 +545,19 @@ class _SumsetSide:
     def select(
         self, keys: np.ndarray, values: np.ndarray, s: int, x: np.ndarray,
         y: np.ndarray, common: np.ndarray,
-    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
         """Of the pairs (x, y) listed by `sums`, those whose sum is in
         `common`, as `RunBlocks` fields ordered by (sum, fixed run); with
-        each common sum's first block and its number of index pairs.
-        `keys` and `values` are as `_packed_positions` takes them."""
+        each common sum's number of blocks, first block and number of
+        index pairs.  `keys` and `values` are as `_packed_positions` takes
+        them."""
         pos, per_key = _packed_positions(keys, values, s, common)
         x, y = x[pos], y[pos]
         fields = self.in_start[x], self.in_len[x], self.fx_start[y], self.fx_len[y]
         at = _offsets(per_key)
         # every common sum has at least one block, so no segment is empty
         pairs = np.add.reduceat(fields[1] * fields[3], at[:-1])
-        return fields, at, pairs
+        return fields, per_key, at, pairs
 
 
 def _bitmap_survivors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -679,8 +669,8 @@ class SumsetEnumerator:
         self._rcount = self._right.count_le(self.target - self._lo)
         self._l_total, self._r_total = int(self._lcount.sum()), int(self._rcount.sum())
         self._pending: deque[CandidateBatch] = deque()
-        # the open group: per window part, its alphas, index pairs per
-        # alpha on each side, and the four block fields of each side
+        # the open group: per window part, its alphas, blocks per alpha
+        # on each side, and the four block fields of each side
         self._open: list[tuple[np.ndarray, ...]] = []
         self._open_pairs = 0
         self.peak_window_pairs = 0
@@ -774,9 +764,13 @@ class SumsetEnumerator:
             return
         # one side at a time, dropping each side's keys once used, so the
         # window's peak memory stays near that of its pairs
-        left, l_at, l_pairs = self._left.select(l_key, l_sum, s, l_x, l_y, common)
+        left, l_blocks, l_at, l_pairs = self._left.select(
+            l_key, l_sum, s, l_x, l_y, common
+        )
         del l_key, l_sum, l_x, l_y
-        right, r_at, r_pairs = self._right.select(r_key, r_alpha, s, r_x, r_y, common)
+        right, r_blocks, r_at, r_pairs = self._right.select(
+            r_key, r_alpha, s, r_x, r_y, common
+        )
         del r_key, r_alpha, r_x, r_y
         common += np.uint64(lo)
         total = _offsets(l_pairs + r_pairs)
@@ -793,7 +787,7 @@ class SumsetEnumerator:
                 j = i + 1  # alpha i alone is over the budget
             lb, le, rb, re = l_at[i], l_at[j], r_at[i], r_at[j]
             self._open.append((
-                common[i:j], l_pairs[i:j], r_pairs[i:j],
+                common[i:j], l_blocks[i:j], r_blocks[i:j],
                 *(f[lb:le] for f in left), *(f[rb:re] for f in right),
             ))
             self._open_pairs += int(total[j] - total[i])
@@ -806,7 +800,7 @@ class SumsetEnumerator:
         are (views of the window's), or its parts' arrays joined."""
         parts, self._open, self._open_pairs = self._open, [], 0
         if len(parts) == 1:
-            alphas, l_pairs, r_pairs, *fields = parts[0]
+            alphas, l_blocks, r_blocks, *fields = parts[0]
         else:
             # one column at a time, each column's parts dropped once
             # joined, so the group's blocks are not held twice
@@ -815,12 +809,10 @@ class SumsetEnumerator:
             joined = []
             while columns:
                 joined.append(np.concatenate(columns.pop(0)))
-            alphas, l_pairs, r_pairs, *fields = joined
-        alpha = int(alphas[0])
+            alphas, l_blocks, r_blocks, *fields = joined
         self._pending.append(CandidateBatch(
-            alpha, self.target - alpha,
-            RunBlocks(*fields[:4]), RunBlocks(*fields[4:]),
-            alphas, _offsets(l_pairs), _offsets(r_pairs),
+            self.target, alphas, RunBlocks(*fields[:4]), RunBlocks(*fields[4:]),
+            _offsets(l_blocks), _offsets(r_blocks),
         ))
 
 

@@ -204,11 +204,7 @@ def solve(
 
     if work.n <= BRUTE_FORCE_MAX_N:
         found = brute_force_all(work)
-        for x in found:
-            if not verify_solution(inst, x):
-                raise RuntimeError(
-                    "internal error: reduced-system solution fails the original"
-                )
+        _check_verified(inst, found)
         if cfg.mode == "first":
             found = found[:1]
         stats.fallback = "brute-force"

@@ -56,8 +56,8 @@ to the enumerator's pair budget (see `CandidateBatch` and
 the hash covers coordinate 0, which is alpha on both sides, so pairs of
 different alphas can only collide, and the exact confirmation rejects
 any such hit.  A left chunk is joined only with the right pairs of the
-alphas it holds.  Each alpha's pair edges must fall on block
-boundaries, so the per-block check sees every pair with its own alpha.
+alphas it holds.  Each alpha owns whole blocks (the batch's block
+offsets), so the per-block check sees every pair with its own alpha.
 One call then pays the fixed cost of hashing and joining once for the
 whole group instead of once per alpha.
 """
@@ -366,13 +366,14 @@ def validate_chunked(
     the remaining chunk pairs are abandoned, and the caller must treat
     the batch as unfinished.
 
-    Each alpha's pair edges must fall on block boundaries, and every
-    block is checked against its alpha before its chunk is first joined,
-    left before right (see `_BlockCheck`).  A grouped batch is joined as
-    a whole (see the module docstring): a left chunk meets only the right
-    pairs of its own alphas, cut into chunks from the first of them.
-    Solutions come in chunk-pair order, (right, left) within a chunk
-    pair, so by ascending alpha.
+    Each alpha owns the blocks between its block offsets, at least one
+    per side, and every block is checked against its alpha before its
+    chunk is first joined, left before right (see `_BlockCheck`).  A
+    batch of several alphas is joined as a whole (see the module
+    docstring): a left chunk meets only the right pairs of its own
+    alphas, cut into chunks from the first of them.  Solutions come in
+    chunk-pair order, (right, left) within a chunk pair, so by ascending
+    alpha.
     """
     if chunk_pairs < 1:
         raise ValueError(f"chunk_pairs must be >= 1, got {chunk_pairs}")
@@ -384,14 +385,16 @@ def validate_chunked(
     left, right = batch.left_pairs, batch.right_pairs
 
     alphas, l_edges, r_edges = batch.spans()
-    n_left, n_right = int(l_edges[-1]), int(r_edges[-1])
-    l_check = _BlockCheck(left, tables[0], tables[1], alphas, l_edges, "left")
-    r_check = _BlockCheck(right, tables[2], tables[3], alphas, r_edges, "right", d[0])
+    n_left = int(l_edges[-1])
+    l_check = _BlockCheck(left, tables[0], tables[1], alphas, batch.left_at, "left")
+    r_check = _BlockCheck(
+        right, tables[2], tables[3], alphas, batch.right_at, "right", d[0]
+    )
     stats.calls += 1
 
     solutions: list[SolutionVector] = []
     right_done = 0  # right pairs before this were checked and counted
-    for ls in range(0, max(n_left, 1), chunk_pairs):
+    for ls in range(0, n_left, chunk_pairs):
         l_end = min(ls + chunk_pairs, n_left)
         l_check(ls, l_end)
         left_h = backend.left_hashes(tables, left, ls, l_end)
@@ -423,15 +426,12 @@ def validate_chunked(
 
 class _BlockCheck:
     """Asserts that every pair of one batch side has its alpha (see the
-    module docstring), for the blocks of one pair range at a time.  The
-    alphas' pair `edges` must fall on block boundaries."""
+    module docstring), for the blocks of one pair range at a time.  `at`
+    holds the alphas' block offsets: alpha i owns blocks at[i]..at[i+1]-1."""
 
-    def __init__(self, side, t_in, t_fx, alphas, edges, name: str, d0=None):
-        at = side.block_edges(edges)
-        if at is None:
-            raise AssertionError(f"{name} alpha edge falls inside a run block")
+    def __init__(self, side, t_in, t_fx, alphas, at, name: str, d0=None):
         self.side, self.t_in, self.t_fx = side, t_in, t_fx
-        self.alphas, self.at = alphas, at  # each alpha's first block
+        self.alphas, self.at = alphas, at
         self.name, self.d0 = name, d0
 
     def __call__(self, lo: int, hi: int) -> None:
@@ -462,10 +462,9 @@ class _BlockCheck:
 def _partner_range(
     l_edges: np.ndarray, r_edges: np.ndarray, lo: int, hi: int
 ) -> tuple[int, int]:
-    """Right pairs [start, end) of the alphas that left pairs lo..hi-1 hold;
-    all of them for a batch of one alpha, even one without left pairs."""
-    if len(l_edges) == 2:
-        return 0, int(r_edges[1])
+    """Right pairs [start, end) of the alphas that left pairs lo..hi-1 hold
+    (lo < hi), given each alpha's pair edges on both sides: the pair
+    offsets of its first block, which every alpha has on each side."""
     a0 = int(l_edges.searchsorted(lo, side="right")) - 1
     a1 = int(l_edges.searchsorted(hi))
     return int(r_edges[a0]), int(r_edges[a1])

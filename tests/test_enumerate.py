@@ -151,6 +151,20 @@ class TestRunExtract:
         assert tc.run_end[3] == 4
 
 
+def assert_block_offsets(batch) -> None:
+    """The batch invariant `validate_chunked` relies on: alphas strictly
+    ascend, and alpha i owns blocks at[i]..at[i+1]-1 of each side, at
+    least one, with the offsets covering every block."""
+    alphas = batch.alphas
+    assert len(alphas) >= 1 and (alphas[1:] > alphas[:-1]).all()
+    for at, side in (
+        (batch.left_at, batch.left_pairs), (batch.right_at, batch.right_pairs)
+    ):
+        assert len(at) == len(alphas) + 1 and at[0] == 0
+        assert (np.diff(at) >= 1).all()
+        assert at[-1] == len(side.inner_start)
+
+
 class TestEnumerator:
     def test_seeding(self):
         inst = seeded_instance(7, m=1, n=12, k=10)
@@ -229,7 +243,9 @@ class TestEnumerator:
         ta, tb, tc, td = tables
         target = int(inst.d[0])
         enum = PairSumEnumerator(tables, target)
-        for batch in drain_all_batches(enum):
+        for batch in iter(enum.next_batch, None):
+            assert_block_offsets(batch)
+            assert len(batch.alphas) == 1
             assert batch.alpha + batch.beta == target
             assert all(
                 int(ta.weights[i]) + int(tb.weights[j]) == batch.alpha
@@ -364,15 +380,12 @@ class TestRunBlocks:
         hi = data.draw(st.integers(lo, n))
         expected = inner_v[full[lo:hi, 0]] + fixed_v[full[lo:hi, 1]]
         assert rb.sums(inner_v, fixed_v, lo, hi).tobytes() == expected.tobytes()
-        # pair offsets to block indices: block boundaries map, others do not
-        starts = [0] + rb._ends.tolist()
-        picked = sorted(data.draw(st.sets(st.integers(0, len(blocks)), min_size=1)))
-        at = rb.block_edges(np.array([starts[b] for b in picked], dtype=np.int64))
-        assert at is not None and at.tolist() == picked
-        inside = [p for p in range(n) if p not in starts]
-        if inside:
-            edge = np.array([0, data.draw(st.sampled_from(inside))], dtype=np.int64)
-            assert rb.block_edges(edge) is None
+        # block offsets: each block's first pair offset, then the pair count
+        starts = rb.starts
+        assert starts.dtype == np.int64 and len(starts) == len(blocks) + 1
+        assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] == n
+        firsts = [(i, f) for i, _, f, _ in blocks]
+        assert rb.pairs_at(starts[:-1]).tolist() == [list(p) for p in firsts]
 
     def test_empty(self):
         rb = RunBlocks(*_run_blocks([]))
@@ -749,6 +762,8 @@ class TestPairBudgetedGroups:
         cap = enum.batch_pairs
         assert cap == max(enum.window_pairs, budget)
         batches = list(iter(enum.next_batch, None))
+        for batch in batches:
+            assert_block_offsets(batch)
         # split per alpha, the groups are the heap's stream
         per_alpha = [p for b in batches for p in b.per_alpha()]
         expected = batch_stream(PairSumEnumerator(tables, target))

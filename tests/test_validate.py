@@ -341,6 +341,13 @@ class TestBitmapSurvivors:
         _assert_join_equals_serial(a, b)
 
 
+def _one_alpha(target, alpha, left, right) -> CandidateBatch:
+    """A single-alpha batch of (k, 2) index-pair lists, as one-pair blocks."""
+    return CandidateBatch.of_alpha(
+        target, alpha, RunBlocks.from_pairs(left), RunBlocks.from_pairs(right)
+    )
+
+
 class TestResiduals:
     def _simple_setup(self):
         inst = MspInstance([[1, 2, 3, 4]], [5])
@@ -350,12 +357,7 @@ class TestResiduals:
 
     def test_empty_pair_gives_zero_vector(self):
         inst, tables, d = self._simple_setup()
-        batch = CandidateBatch(
-            alpha=0,
-            beta=5,
-            left_pairs=np.array([[0, 0]], dtype=np.int64),
-            right_pairs=np.empty((0, 2), dtype=np.int64),
-        )
+        batch = _one_alpha(5, 0, [[0, 0]], [])
         left, right = compute_residuals(batch, tables, d)
         assert left.vectors.tolist() == [[0]]
 
@@ -364,16 +366,9 @@ class TestResiduals:
         tc, td = tables[2], tables[3]
         k = int(np.flatnonzero(tc.weights == 3)[0])
         l = int(np.flatnonzero(td.weights == 4)[0])
-        batch = CandidateBatch(
-            alpha=3,
-            beta=7,
-            left_pairs=np.array(
-                [[int(np.flatnonzero(tables[0].weights == 1)[0]),
-                  int(np.flatnonzero(tables[1].weights == 2)[0])]],
-                dtype=np.int64,
-            ),
-            right_pairs=np.array([[k, l]], dtype=np.int64),
-        )
+        i = int(np.flatnonzero(tables[0].weights == 1)[0])
+        j = int(np.flatnonzero(tables[1].weights == 2)[0])
+        batch = _one_alpha(5, 3, [[i, j]], [[k, l]])
         left, right = compute_residuals(batch, tables, d)
         assert left.vectors.tolist() == [[3]]
         assert len(right) == 0 and right.n_filtered == 1
@@ -391,12 +386,7 @@ class TestResiduals:
 
     def test_alpha_mismatch_caught(self):
         inst, tables, d = self._simple_setup()
-        batch = CandidateBatch(
-            alpha=99,
-            beta=5,
-            left_pairs=np.array([[0, 0]], dtype=np.int64),
-            right_pairs=np.empty((0, 2), dtype=np.int64),
-        )
+        batch = _one_alpha(5, 99, [[0, 0]], [])
         with pytest.raises(AssertionError):
             compute_residuals(batch, tables, d)
 
@@ -404,11 +394,11 @@ class TestResiduals:
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
     def test_alpha_mismatch_caught_in_validation(self, backend):
         inst, tables, _ = self._simple_setup()
-        pair = np.array([[0, 0]], dtype=np.int64)  # left weight 0, right 3 + 4
-        none = np.empty((0, 2), dtype=np.int64)
-        for left, right, side in ((pair, none, "left"), (none, pair, "right")):
-            batch = CandidateBatch(alpha=99 if side == "left" else 0, beta=5,
-                                   left_pairs=left, right_pairs=right)
+        pair = [[0, 0]]  # left weight 0, right 3 + 4
+        # the left side is checked first, so in the left case the right
+        # pair is never checked
+        for alpha, side in ((99, "left"), (0, "right")):
+            batch = _one_alpha(5, alpha, pair, pair)
             with pytest.raises(AssertionError, match=side):
                 validate_chunked(batch, tables, inst, 10, backend)
 
@@ -597,10 +587,16 @@ class TestChunking:
 
     def test_one_pair_blocks_peak_within_memory_budget(self):
         # the same batch rebuilt from arrays, so every block is one pair
-        # and the per-block checks see as many blocks as pairs
+        # and the per-block checks see as many blocks as pairs; for
+        # one-pair blocks the block offsets are the pair edges
         inst, tables, batch = self._largest_m6_batch()
-        batch = CandidateBatch(
-            batch.alpha, batch.beta, batch.left_pairs[:], batch.right_pairs[:]
+        _, l_edges, r_edges = batch.spans()
+        batch = dataclasses.replace(
+            batch,
+            left_pairs=RunBlocks.from_pairs(batch.left_pairs[:]),
+            right_pairs=RunBlocks.from_pairs(batch.right_pairs[:]),
+            left_at=l_edges,
+            right_at=r_edges,
         )
         assert len(batch.left_pairs.inner_start) == batch.n_left
         chunk = default_chunk_pairs(inst.m, self.BUDGET)
@@ -647,7 +643,7 @@ def _reduced_instance(seed, m, n, k):
 
 
 def _corrupt(batch, field, i, delta):
-    """A copy of a grouped batch with entry i of one edge/alpha array moved."""
+    """A copy of a batch with entry i of its alphas or block offsets moved."""
     values = getattr(batch, field).copy()
     values[i] += delta
     return dataclasses.replace(batch, **{field: values})
@@ -661,11 +657,6 @@ def _moved(blocks, field, b, value):
     }
     fields[field][b] = value
     return RunBlocks(**fields)
-
-
-def _inside_block(blocks, offset):
-    """Whether pair offset `offset` lies inside a block, not at its start."""
-    return 0 < offset < len(blocks) and offset not in blocks._ends
 
 
 class TestWindowBatches:
@@ -721,7 +712,7 @@ class TestWindowBatches:
         # small weights: alphas of several pairs each, in one group
         inst = seeded_instance(1, m=2, n=16, k=20)
         tables, batches = _window_batches(inst)
-        batch = max(batches, key=lambda b: 0 if b.alphas is None else len(b.alphas))
+        batch = max(batches, key=lambda b: len(b.alphas))
         assert len(batch.alphas) > 10 and batch.n_right > 2 * len(batch.alphas)
         _, l_edges, r_edges = batch.spans()
 
@@ -744,12 +735,12 @@ class TestWindowBatches:
     def test_alpha_mismatch_inside_window_raises(self, backend, chunk):
         inst = _reduced_instance(1, 2, 16, 10)
         tables, batches = _window_batches(inst)
-        batch = next(b for b in batches if b.alphas is not None and len(b.alphas) >= 3)
+        batch = next(b for b in batches if len(b.alphas) >= 3)
         validate_chunked(batch, tables, inst, chunk, backend)  # intact: no error
         i = len(batch.alphas) // 2
-        # a pair handed to its neighbour alpha, on either side, or an alpha
-        # that neither side's pairs have
-        for field, side in (("left_edges", "left"), ("right_edges", "right"),
+        # a block handed to its neighbour alpha, on either side, or an
+        # alpha that neither side's pairs have
+        for field, side in (("left_at", "left"), ("right_at", "right"),
                             ("alphas", "left")):
             bad = _corrupt(batch, field, i, 1)
             with pytest.raises(AssertionError, match=side):
@@ -759,26 +750,13 @@ class TestWindowBatches:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_corrupt_blocks_raise(self, backend, side):
         # small weights: runs of several entries, so blocks have several
-        # rows of several pairs, and window edges sit next to such blocks
+        # rows of several pairs
         inst = seeded_instance(1, m=2, n=16, k=20)
         tables, batches = _window_batches(inst)
         field = "left_pairs" if side == "left" else "right_pairs"
-        edges_field = "left_edges" if side == "left" else "right_edges"
-        windows = [b for b in batches if b.alphas is not None]
-        # a window edge moved by +1 into the block it starts, and by -1
-        # into the block it ends (only the boundary check sees the latter)
-        corrupt = [
-            next(
-                _corrupt(b, edges_field, i, delta)
-                for b in windows
-                for i in range(1, len(b.alphas))
-                if _inside_block(getattr(b, field), int(getattr(b, edges_field)[i]) + delta)
-            )
-            for delta in (1, -1)
-        ]
-        # block corruptions on a window and on its first alpha alone,
-        # where no edge check can see them
-        for batch in (windows[0], windows[0].per_alpha()[0]):
+        corrupt = []
+        # block corruptions on a group and on its first alpha alone
+        for batch in (batches[0], batches[0].per_alpha()[0]):
             validate_chunked(batch, tables, inst, 7, backend)  # intact: no error
             blocks = getattr(batch, field)
             inner = tables[0] if side == "left" else tables[2]
@@ -806,7 +784,7 @@ class TestWindowBatches:
         per_alpha = sum(
             p.n_left * p.n_right for b in batches for p in b.per_alpha()
         )
-        assert any(b.alphas is not None and len(b.alphas) > 1 for b in batches)
+        assert any(len(b.alphas) > 1 for b in batches)
         for backend in ALL_BACKENDS:
             stats = ValidationStats()
             found = []
