@@ -23,23 +23,35 @@ alpha in windows [lo, hi] over the distinct-weight sumsets uA + uB and
 d_1 - (uC + uD).  Per window, a vectorized `searchsorted` lists the
 distinct-weight pairs whose sums fall in it, and `_bitmap_survivors`,
 the filter the validator's hash join also runs, drops the sums whose
-low bits the other side lacks: they cannot match.  Each side's
-survivors are packed as keys ((sum - lo) << s) | list position (s: the
-larger side's position bits) and get one plain sort.  The values both
-sides share are the window's alphas, and each alpha's positions are one
-range of its side's keys, already fixed-major; they map back to the
-pairs' runs through the positions.  Windows are cut so neither side
-holds more than 4 * 2^(n/4) distinct-weight pairs (one alpha never
-needs more than min(|uA|, |uB|)) and hi - lo < 2^(64 - that cap's bit
-length), so every key is exact.  The alphas then leave in pair-budgeted batches:
-consecutive alphas, in sweep order and across window boundaries, are
-grouped while the group holds at most `batch_pairs` = max(window cap,
-`BATCH_PAIRS`) index pairs, and an alpha larger than that leaves alone.
-A group is closed when its next alpha would overflow it, or when the
-sweep ends.  Its sides are `RunBlocks` built once from its windows'
-blocks, with the sorted alphas and each alpha's left and right block
-offsets, so the validator checks the whole group in one join.  The heap
-emits the same format with one alpha per batch; split per alpha
+low bits the other side lacks: they cannot match.  Windows are cut so
+neither side holds more than 4 * 2^(n/4) distinct-weight pairs (one
+alpha never needs more than min(|uA|, |uB|)) and hi - lo < 2^(64 -
+that cap's bit length).
+
+The survivors are matched once per buffer, not once per window: each
+window appends its survivors' sums, as offsets from the buffer's first
+lo, and their runs.  The buffer is matched before a window's survivors
+would take it past the cap on either side, before a window whose hi
+would break the clamp on hi - lo counted from the buffer's first lo,
+and when the sweep ends; so it holds at most the cap per side beside
+the current window, and space stays O(4 * 2^(n/4)).  A window whose
+survivors alone fill more than half the cap is matched at once, alone
+and keyed by positions into its own arrays.  A match packs each side's
+sums as keys ((sum - lo) << s) | position (s: the larger side's
+position bits, at most the cap's bit length, so the clamp keeps every
+key exact) and sorts them once.  The values both sides share are the
+alphas, and each alpha's positions are one range of its side's keys,
+already fixed-major; they map back to the pairs' runs through the
+positions.  The matched alphas ascend
+from part to part, and leave in pair-budgeted batches: consecutive
+alphas, in sweep order and across window boundaries, are grouped while
+the group holds at most `batch_pairs` = max(window cap, `BATCH_PAIRS`)
+index pairs, and an alpha larger than that leaves alone.  A group is
+closed when its next alpha would overflow it, or when the sweep ends.
+Its sides are `RunBlocks` built once from its windows' blocks, with the
+sorted alphas and each alpha's left and right block offsets, so the
+validator checks the whole group in one join.  The heap emits the same
+format with one alpha per batch; split per alpha
 (`CandidateBatch.per_alpha`), both enumerators give the same stream.
 
 `PairSumEnumerator` is the paper's heap formulation, kept as the
@@ -60,7 +72,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heapreplace
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -391,11 +403,13 @@ class CandidateBatch:
     def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(alphas, left pair edges, right pair edges): alpha i's pairs are
         `left_pairs[edges[i]:edges[i+1]]`, likewise on the right."""
-        return (
-            self.alphas,
-            self.left_pairs.starts[self.left_at],
-            self.right_pairs.starts[self.right_at],
-        )
+        return (self.alphas, *self._edges)
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both sides' pair edges, gathered once per batch."""
+        left, right = self.left_pairs, self.right_pairs
+        return left.starts[self.left_at], right.starts[self.right_at]
 
     def per_alpha(self) -> list["CandidateBatch"]:
         """The batch as one single-alpha batch per alpha."""
@@ -639,7 +653,8 @@ class SumsetEnumerator:
     caps the distinct-weight pairs either side holds per window
     (default: the total table size, the four-table space bound);
     `peak_window_pairs` is the most either side held, and `windows`
-    counts the windows cut.
+    counts the windows cut.  `_buffer` holds sparse windows' survivors
+    until `_flush` matches them (see the module docstring).
     Every batch is a pair-budgeted group (`alphas` set): consecutive
     alphas holding at most `batch_pairs` = max(`window_pairs`,
     `BATCH_PAIRS`) pairs on both sides together, or one alpha over that.
@@ -669,6 +684,13 @@ class SumsetEnumerator:
         self._rcount = self._right.count_le(self.target - self._lo)
         self._l_total, self._r_total = int(self._lcount.sum()), int(self._rcount.sum())
         self._pending: deque[CandidateBatch] = deque()
+        # survivors not yet matched: per window, each side's (sum -
+        # _buffer_lo, positions into x and y or None if gathered, x, y);
+        # the windows span _buffer_lo.._buffer_hi, and `_buffered`
+        # counts the survivors per side
+        self._buffer: list[tuple[np.ndarray, ...]] = []
+        self._buffer_lo = self._buffer_hi = 0
+        self._buffered = (0, 0)
         # the open group: per window part, its alphas, blocks per alpha
         # on each side, and the four block fields of each side
         self._open: list[tuple[np.ndarray, ...]] = []
@@ -688,7 +710,10 @@ class SumsetEnumerator:
             if self._lo <= self._end:
                 if should_stop is not None and should_stop():
                     return None
-                self._sweep_window()
+                if self._sweep_window():
+                    self._flush()
+            elif self._buffer:
+                self._flush()
             elif self._open:
                 self._close_group()
             else:
@@ -732,7 +757,9 @@ class SumsetEnumerator:
         self._width = low - lo + 1
         return low, probe
 
-    def _sweep_window(self) -> None:
+    def _sweep_window(self) -> bool:
+        """Cut the next window and buffer its filter's survivors; true
+        when the buffer is to be matched at once."""
         hi, (held, lcount, rcount, l_total, r_total) = self._cut()
         self.windows += 1
         self.peak_window_pairs = max(self.peak_window_pairs, held)
@@ -746,18 +773,60 @@ class SumsetEnumerator:
         # only sums whose low bits the other side also holds can match
         l_pos, r_pos = _bitmap_survivors(l_val, r_val)
         if not len(l_pos):
-            return
-        # one plain sort of each side's survivor keys ((sum - lo) << s) |
-        # position: the alphas are the values both share, each one's
-        # positions a range
-        s = max(len(l_val), len(r_val)).bit_length()
+            return False
+        cap = self.window_pairs
+        dense = 2 * max(len(l_pos), len(r_pos)) > cap
+        n_left, n_right = self._buffered
+        if self._buffer and (
+            dense
+            or max(n_left + len(l_pos), n_right + len(r_pos)) > cap
+            or hi - self._buffer_lo >= 1 << (64 - cap.bit_length())
+        ):
+            self._flush()
+            n_left = n_right = 0
+        if not self._buffer:
+            self._buffer_lo = lo
+        l_val, r_val = l_val[l_pos], r_val[r_pos]
+        if lo > self._buffer_lo:  # as offsets from the buffer's first lo
+            shift = np.uint64(lo - self._buffer_lo)
+            l_val += shift
+            r_val += shift
+        if dense:  # alone in the buffer, keyed by positions into its pairs
+            part = (l_val, l_pos, l_x, l_y, r_val, r_pos, r_x, r_y)
+        else:
+            part = (
+                l_val, None, l_x[l_pos], l_y[l_pos],
+                r_val, None, r_x[r_pos], r_y[r_pos],
+            )
+        self._buffer.append(part)
+        self._buffered = (n_left + len(l_pos), n_right + len(r_pos))
+        self._buffer_hi = hi
+        return dense
+
+    def _flush(self) -> None:
+        """Match the buffer and emit its alphas: one part per side, the
+        buffered windows' (sum - _buffer_lo, position, x, y) joined."""
+        parts, self._buffer, self._buffered = self._buffer, [], (0, 0)
+        lo, hi = self._buffer_lo, self._buffer_hi
+        if len(parts) == 1:
+            l_key, l_pos, l_x, l_y, r_key, r_pos, r_x, r_y = parts[0]
+        else:  # gathered parts only, their positions in buffer order
+            l_key, l_pos, l_x, l_y, r_key, r_pos, r_x, r_y = (
+                None if c[0] is None else np.concatenate(c) for c in zip(*parts)
+            )
+        del parts
+        # one plain sort of each side's keys ((sum - lo) << s) | position
+        # (the sums become the keys in place): the alphas are the values
+        # both share, each one's positions a range
+        s = max(len(l_x), len(r_x)).bit_length()
         assert hi - lo < 1 << (64 - s), "window too wide for its packed keys"
-        l_key, r_key = l_val[l_pos], r_val[r_pos]
-        del l_val, r_val
         for key, pos in ((l_key, l_pos), (r_key, r_pos)):
             key <<= np.uint64(s)
+            if pos is None:  # gathered survivors, in buffer order
+                pos = np.arange(len(key))
             key |= pos.view(np.uint64)
             key.sort()
+        del l_pos, r_pos
         l_sum, r_alpha = l_key >> np.uint64(s), r_key >> np.uint64(s)
         common = _shared_values(l_sum, r_alpha)
         if not len(common):

@@ -445,6 +445,42 @@ def _recording_cut(monkeypatch) -> list[tuple[int, int, int]]:
     return windows
 
 
+def _recording_flush(monkeypatch) -> list[tuple[int, int, tuple[int, int], int]]:
+    """Patch `SumsetEnumerator._flush` to record each buffer of gathered
+    survivors it matches: its first lo, last hi, survivors per side and
+    number of windows.  A dense window, matched alone from its own
+    arrays, records lo, hi and None."""
+    flushes = []
+    flush = SumsetEnumerator._flush
+
+    def recording_flush(self):
+        lo, hi, parts = self._buffer_lo, self._buffer_hi, self._buffer
+        if parts[0][1] is None:  # no positions: gathered survivors
+            flushes.append((lo, hi, self._buffered, len(parts)))
+        else:
+            assert len(parts) == 1
+            flushes.append((lo, hi, None, 1))
+        flush(self)
+
+    monkeypatch.setattr(SumsetEnumerator, "_flush", recording_flush)
+    return flushes
+
+
+def _wide_weight_instance(m: int, n: int, spread: str) -> MspInstance:
+    """First-row weights near 2^58..2^60, with a planted solution: the
+    alpha range is far wider than the packed keys' value range, so only
+    the key clamp keeps them exact.  Clustered weights tie, so one alpha
+    can hold several distinct-weight pairs per side."""
+    rng = SplitMix64(1000 * n + m)
+    if spread == "clustered":
+        first = [(1 << 59) + rng.below(2) for _ in range(n)]
+    else:
+        first = [(1 << 58) + rng.below(3 << 58) for _ in range(n)]
+    rows = [first] + [[rng.below(100) for _ in range(n)] for _ in range(m - 1)]
+    # the planted solution: every other column
+    return MspInstance(rows, [sum(row[::2]) for row in rows])
+
+
 class TestSumsetEnumerator:
     """The production engine against the heap reference and the oracle."""
 
@@ -500,18 +536,7 @@ class TestSumsetEnumerator:
     @pytest.mark.parametrize("n", [8, 13, 16])
     @pytest.mark.parametrize("spread", ["clustered", "uniform"])
     def test_packed_key_clamp(self, monkeypatch, m, n, spread):
-        # first-row weights near 2^58..2^60: the alpha range is far wider
-        # than the packed keys' value range, so only the clamp in `_cut`
-        # keeps them exact; clustered weights tie, so one alpha can hold
-        # several distinct-weight pairs per side
-        rng = SplitMix64(1000 * n + m)
-        if spread == "clustered":
-            first = [(1 << 59) + rng.below(2) for _ in range(n)]
-        else:
-            first = [(1 << 58) + rng.below(3 << 58) for _ in range(n)]
-        rows = [first] + [[rng.below(100) for _ in range(n)] for _ in range(m - 1)]
-        # a planted solution: every other column
-        inst = MspInstance(rows, [sum(row[::2]) for row in rows])
+        inst = _wide_weight_instance(m, n, spread)
         windows = []
         cut = SumsetEnumerator._cut
 
@@ -536,6 +561,72 @@ class TestSumsetEnumerator:
                 assert max(widths) == bound
         if spread == "clustered":  # window 1: an alpha over the cap alone
             assert any(lo == hi and held > 1 for lo, hi, held in windows)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [8, 13, 16])
+    @pytest.mark.parametrize("spread", ["clustered", "uniform"])
+    def test_buffered_survivors_within_cap_and_clamp(self, monkeypatch, m, n, spread):
+        # windows of sparse survivors share one buffer only while their
+        # packed keys, taken from the buffer's first lo, stay exact
+        inst = _wide_weight_instance(m, n, spread)
+        flushes = _recording_flush(monkeypatch)
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        expected = batch_stream(PairSumEnumerator(tables, target))
+        for window in (None, 1):
+            flushes.clear()
+            enum = SumsetEnumerator(tables, target, window)
+            assert batch_stream(enum) == expected
+            bound = 1 << (64 - enum.window_pairs.bit_length())
+            assert all(hi - lo < bound for lo, hi, _, _ in flushes)
+            gathered = [b for _, _, b, _ in flushes if b is not None]
+            assert all(max(b) <= enum.window_pairs for b in gathered)
+            if window is None and spread == "clustered":
+                # several buffers, each far below the cap: the clamp, not
+                # the size rule, split them
+                assert len(gathered) > 1
+                assert all(2 * max(b) <= enum.window_pairs for b in gathered)
+
+    def test_buffer_holds_several_windows(self, monkeypatch):
+        # a reduced n = 30 instance keeps few sums per window, so buffers
+        # fill from several windows up to the cap on either side
+        inst = surrogate_reduce(generate_instance(4, 100, 0), 4)
+        flushes = _recording_flush(monkeypatch)
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        enum = SumsetEnumerator(tables, target)
+        assert batch_stream(enum) == batch_stream(PairSumEnumerator(tables, target))
+        assert max(n for *_, n in flushes) > 1
+        for lo, hi, buffered, _ in flushes:
+            assert lo <= hi
+            assert buffered is None or max(buffered) <= enum.window_pairs
+        # matched in sweep order: each buffer's alphas follow the last's
+        assert all(a[1] < b[0] for a, b in zip(flushes, flushes[1:]))
+
+    def test_stop_with_survivors_buffered(self):
+        # a stop polled while survivors are buffered returns None and
+        # keeps them; resumed calls give the unstopped stream
+        inst = surrogate_reduce(generate_instance(4, 100, 0), 4)
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        expected = batch_stream(SumsetEnumerator(tables, target))
+        enum = SumsetEnumerator(tables, target)
+        polls = []
+
+        def should_stop():
+            # every other poll that finds survivors buffered
+            polls.append(bool(enum._buffer))
+            return polls[-1] and polls.count(True) % 2 == 1
+
+        batches, stops = [], 0
+        while (batch := enum.next_batch(should_stop)) is not None or not enum.exhausted:
+            if batch is None:
+                assert enum._buffer
+                stops += 1
+            else:
+                batches.append(batch)
+        assert stops > 1
+        assert batch_stream_of(batches) == expected
 
     def test_no_common_alpha(self):
         # even first-row weights, odd d_1: windows hold pairs on both

@@ -1,7 +1,7 @@
 """In-process A/B timing of two checkouts' solvers on one perfbench workload.
 
     python tools/ab.py PARENT_SRC CHANGE_SRC --workload NAME [--rounds N]
-                       [--seeds 1,3 | --smoke]
+                       [--seeds 1,3 | --held-out | --smoke]
 
 PARENT_SRC and CHANGE_SRC are `src` directories, each holding a
 `marketsplit` package.  Both packages are loaded into this one process
@@ -12,9 +12,11 @@ the files happen to lie in memory, which can hide a gain or loss of a
 few percent.
 
 The instances and the pinned solver configuration come from
-`perfbench/workloads.py`, read only.  An untimed warm-up round checks
-both trees' answers against the frozen reference; every round then
-asserts that the two trees return the same solutions and the same
+`perfbench/workloads.py`, read only; `--held-out` runs the workload's
+held-out seeds, which were never used while tuning, so a claim can be
+checked on instances it was not fitted to.  An untimed warm-up round
+checks both trees' answers against the frozen reference; every round
+then asserts that the two trees return the same solutions and the same
 `SolveStats` counters (every field but the `t_*` timings).  Each round
 solves the workload's seeds back to back with each tree, alternating
 which tree goes first.  The report gives each tree's median and
@@ -92,13 +94,18 @@ def parse_args(argv):
         help="comma-separated instance seeds (default: the workload's frozen ones)",
     )
     p.add_argument(
+        "--held-out",
+        action="store_true",
+        help="the workload's held-out seeds, never used while tuning",
+    )
+    p.add_argument(
         "--smoke",
         action="store_true",
         help="the workload's configuration on the (3,20,100) smoke instance",
     )
     args = p.parse_args(argv)
-    if args.smoke and args.seeds:
-        p.error("--smoke and --seeds exclude each other")
+    if sum(map(bool, (args.seeds, args.held_out, args.smoke))) > 1:
+        p.error("--seeds, --held-out and --smoke exclude each other")
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
     return args
@@ -118,7 +125,7 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload]
     if args.smoke:
         workload = workload.smoke()
-    seeds = args.seeds or workload.seeds
+    seeds = args.seeds or (workload.held_out if args.held_out else workload.seeds)
     reference = load_reference()
     texts = [load_text(workload.m, s, reference) for s in seeds]
     entries = [reference["instances"][instance_name(workload.m, s)] for s in seeds]
