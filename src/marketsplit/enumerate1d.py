@@ -42,17 +42,17 @@ position bits, at most the cap's bit length, so the clamp keeps every
 key exact) and sorts them once.  The values both sides share are the
 alphas, and each alpha's positions are one range of its side's keys,
 already fixed-major; they map back to the pairs' runs through the
-positions.  The matched alphas ascend
-from part to part, and leave in pair-budgeted batches: consecutive
-alphas, in sweep order and across window boundaries, are grouped while
-the group holds at most `batch_pairs` = max(window cap, `BATCH_PAIRS`)
-index pairs, and an alpha larger than that leaves alone.  A group is
-closed when its next alpha would overflow it, or when the sweep ends.
-Its sides are `RunBlocks` built once from its windows' blocks, with the
-sorted alphas and each alpha's left and right block offsets, so the
-validator checks the whole group in one join.  The heap emits the same
-format with one alpha per batch; split per alpha
-(`CandidateBatch.per_alpha`), both enumerators give the same stream.
+positions.  Each match cuts its alphas, ascending, into pair-budgeted
+batches: each batch is the longest run of consecutive alphas holding at
+most `batch_pairs` = max(window cap, `BATCH_PAIRS`) index pairs, or one
+alpha over that alone.  A batch may span several windows of one buffer
+but never two matches, so a sweep validates each buffer's alphas before
+it cuts more than one window past them.  Its sides are `RunBlocks`
+whose fields are views of the match's, with the sorted alphas and each
+alpha's left and right block offsets, so the validator checks the whole
+batch in one join.  The heap emits the same format with one alpha per
+batch; split per alpha (`CandidateBatch.per_alpha`), both enumerators
+give the same stream.
 
 `PairSumEnumerator` is the paper's heap formulation, kept as the
 reference the sumset sweep is tested against.  H1 is a min-heap holding
@@ -559,19 +559,18 @@ class _SumsetSide:
     def select(
         self, keys: np.ndarray, values: np.ndarray, s: int, x: np.ndarray,
         y: np.ndarray, common: np.ndarray,
-    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
         """Of the pairs (x, y) listed by `sums`, those whose sum is in
         `common`, as `RunBlocks` fields ordered by (sum, fixed run); with
-        each common sum's number of blocks, first block and number of
-        index pairs.  `keys` and `values` are as `_packed_positions` takes
-        them."""
+        each common sum's block offsets and number of index pairs.  `keys`
+        and `values` are as `_packed_positions` takes them."""
         pos, per_key = _packed_positions(keys, values, s, common)
         x, y = x[pos], y[pos]
         fields = self.in_start[x], self.in_len[x], self.fx_start[y], self.fx_len[y]
         at = _offsets(per_key)
         # every common sum has at least one block, so no segment is empty
         pairs = np.add.reduceat(fields[1] * fields[3], at[:-1])
-        return fields, per_key, at, pairs
+        return fields, at, pairs
 
 
 def _bitmap_survivors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -654,12 +653,11 @@ class SumsetEnumerator:
     (default: the total table size, the four-table space bound);
     `peak_window_pairs` is the most either side held, and `windows`
     counts the windows cut.  `_buffer` holds sparse windows' survivors
-    until `_flush` matches them (see the module docstring).
-    Every batch is a pair-budgeted group (`alphas` set): consecutive
-    alphas holding at most `batch_pairs` = max(`window_pairs`,
-    `BATCH_PAIRS`) pairs on both sides together, or one alpha over that.
-    A group is closed as soon as its next alpha would overflow it, so it
-    may span windows, and the open group is emitted when the sweep ends.
+    until `_flush` matches them (see the module docstring) and appends
+    the match's batches to `_pending`.  Every batch is a pair-budgeted
+    group (`alphas` set) of one match: consecutive alphas holding at most
+    `batch_pairs` = max(`window_pairs`, `BATCH_PAIRS`) pairs on both
+    sides together, or one alpha over that.
     """
 
     def __init__(
@@ -691,10 +689,6 @@ class SumsetEnumerator:
         self._buffer: list[tuple[np.ndarray, ...]] = []
         self._buffer_lo = self._buffer_hi = 0
         self._buffered = (0, 0)
-        # the open group: per window part, its alphas, blocks per alpha
-        # on each side, and the four block fields of each side
-        self._open: list[tuple[np.ndarray, ...]] = []
-        self._open_pairs = 0
         self.peak_window_pairs = 0
         self.windows = 0
         self.exhausted = False
@@ -714,8 +708,6 @@ class SumsetEnumerator:
                     self._flush()
             elif self._buffer:
                 self._flush()
-            elif self._open:
-                self._close_group()
             else:
                 self.exhausted = True
                 return None
@@ -804,8 +796,9 @@ class SumsetEnumerator:
         return dense
 
     def _flush(self) -> None:
-        """Match the buffer and emit its alphas: one part per side, the
-        buffered windows' (sum - _buffer_lo, position, x, y) joined."""
+        """Match the buffer and cut its alphas into batches: one part per
+        side, the buffered windows' (sum - _buffer_lo, position, x, y)
+        joined."""
         parts, self._buffer, self._buffered = self._buffer, [], (0, 0)
         lo, hi = self._buffer_lo, self._buffer_hi
         if len(parts) == 1:
@@ -833,56 +826,25 @@ class SumsetEnumerator:
             return
         # one side at a time, dropping each side's keys once used, so the
         # window's peak memory stays near that of its pairs
-        left, l_blocks, l_at, l_pairs = self._left.select(
-            l_key, l_sum, s, l_x, l_y, common
-        )
+        left, l_at, l_pairs = self._left.select(l_key, l_sum, s, l_x, l_y, common)
         del l_key, l_sum, l_x, l_y
-        right, r_blocks, r_at, r_pairs = self._right.select(
-            r_key, r_alpha, s, r_x, r_y, common
-        )
+        right, r_at, r_pairs = self._right.select(r_key, r_alpha, s, r_x, r_y, common)
         del r_key, r_alpha, r_x, r_y
         common += np.uint64(lo)
         total = _offsets(l_pairs + r_pairs)
-        n = len(common)
-        i = 0
+        n, i = len(common), 0
         while i < n:
-            # alphas i..j-1 are the most that fit beside the open group
-            room = self.batch_pairs - self._open_pairs
-            j = int(total.searchsorted(total[i] + room, side="right")) - 1
-            if j <= i:
-                if self._open:  # alpha i would overflow the open group
-                    self._close_group()
-                    continue
-                j = i + 1  # alpha i alone is over the budget
+            # alphas i..j-1: the most that fit the budget, or alpha i alone
+            j = int(total.searchsorted(total[i] + self.batch_pairs, side="right")) - 1
+            j = max(j, i + 1)
             lb, le, rb, re = l_at[i], l_at[j], r_at[i], r_at[j]
-            self._open.append((
-                common[i:j], l_blocks[i:j], r_blocks[i:j],
-                *(f[lb:le] for f in left), *(f[rb:re] for f in right),
+            self._pending.append(CandidateBatch(
+                self.target, common[i:j],
+                RunBlocks(*(f[lb:le] for f in left)),
+                RunBlocks(*(f[rb:re] for f in right)),
+                l_at[i : j + 1] - lb, r_at[i : j + 1] - rb,
             ))
-            self._open_pairs += int(total[j] - total[i])
-            if j < n:  # alpha j would overflow it
-                self._close_group()
             i = j
-
-    def _close_group(self) -> None:
-        """Emit the open group as one batch: its one part's arrays as they
-        are (views of the window's), or its parts' arrays joined."""
-        parts, self._open, self._open_pairs = self._open, [], 0
-        if len(parts) == 1:
-            alphas, l_blocks, r_blocks, *fields = parts[0]
-        else:
-            # one column at a time, each column's parts dropped once
-            # joined, so the group's blocks are not held twice
-            columns = list(zip(*parts))
-            del parts
-            joined = []
-            while columns:
-                joined.append(np.concatenate(columns.pop(0)))
-            alphas, l_blocks, r_blocks, *fields = joined
-        self._pending.append(CandidateBatch(
-            self.target, alphas, RunBlocks(*fields[:4]), RunBlocks(*fields[4:]),
-            _offsets(l_blocks), _offsets(r_blocks),
-        ))
 
 
 def assemble_solution(

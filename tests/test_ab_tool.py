@@ -1,6 +1,8 @@
 """`tools/ab.py`, the in-process A/B timer, on the smoke and held-out
 instances."""
 
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +10,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_ab(*args: str) -> subprocess.CompletedProcess:
+def run_ab(*args: str, change: Path = ROOT / "src") -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab.py"), src, src,
+        [sys.executable, str(ROOT / "tools" / "ab.py"), src, str(change),
          "--workload", "reduced-m5", *args],
         capture_output=True, text=True, timeout=300,
     )
+
+
+def _doubled_validate_calls(tmp_path: Path) -> Path:
+    """A copy of `src` whose solves report twice their validate calls and
+    every other counter as before."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    solver = src / "marketsplit" / "solver.py"
+    line = "stats.validate_calls += vstats.calls"
+    text = solver.read_text()
+    assert text.count(line) == 1
+    solver.write_text(text.replace(line, "stats.validate_calls += 2 * vstats.calls"))
+    return src
 
 
 def test_tree_against_itself():
@@ -24,6 +39,8 @@ def test_tree_against_itself():
     assert "seeds 27, 3 rounds; same answers and counters in every round" in out
     lines = out.splitlines()
     assert [line.split(":")[0].strip() for line in lines[1:]] == ["parent", "change", "ratio"]
+    for line in lines[1:3]:  # each tree's median minor page faults per round
+        assert re.search(r"; minor faults \d+ per round$", line), line
 
 
 def test_held_out_seeds():
@@ -36,3 +53,30 @@ def test_held_out_seeds():
 def test_seed_choices_exclude_each_other():
     out = run_ab("--held-out", "--smoke")
     assert out.returncode == 2 and "exclude each other" in out.stderr
+
+
+def test_expected_change_is_reported(tmp_path):
+    change = _doubled_validate_calls(tmp_path)
+    out = run_ab("--smoke", "--rounds", "2", change=change)
+    assert out.returncode == 1 and "answers or counters differ" in out.stderr
+    out = run_ab("--smoke", "--rounds", "2", "--expect-changed", "validate_calls",
+                 change=change)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert "same answers and counters, except validate_calls, in every round" in lines[0]
+    assert "validate_calls: parent 1, change 2 (per round, all seeds)" in lines
+
+
+def test_other_counters_still_checked(tmp_path):
+    change = _doubled_validate_calls(tmp_path)
+    out = run_ab("--smoke", "--rounds", "1", "--expect-changed", "batches,windows",
+                 change=change)
+    assert out.returncode == 1 and "answers or counters differ" in out.stderr
+
+
+def test_expect_changed_takes_counters_only():
+    for names in ("t_total", "validate_calls,bogus"):
+        out = run_ab("--smoke", "--rounds", "1", "--expect-changed", names)
+        assert out.returncode == 1
+        bad = names.split(",")[-1]
+        assert f"not a SolveStats counter of the parent tree: {bad}" in out.stderr

@@ -31,6 +31,7 @@ from marketsplit.instances import (
     surrogate_reduce,
 )
 from marketsplit.oracle import two_list_all
+from marketsplit.solver import SolverConfig, solve
 
 from conftest import batch_vectors, drain_all_batches, seeded_instance
 
@@ -466,6 +467,22 @@ def _recording_flush(monkeypatch) -> list[tuple[int, int, tuple[int, int], int]]
     return flushes
 
 
+def _recording_matches(patch) -> list[tuple[int, int, list]]:
+    """Patch `SumsetEnumerator._flush` (through a `MonkeyPatch`) to record
+    each match: its buffer's first lo and last hi, and the batches it
+    emitted."""
+    matches = []
+    flush = SumsetEnumerator._flush
+
+    def recording_flush(self):
+        lo, hi, before = self._buffer_lo, self._buffer_hi, len(self._pending)
+        flush(self)
+        matches.append((lo, hi, list(self._pending)[before:]))
+
+    patch.setattr(SumsetEnumerator, "_flush", recording_flush)
+    return matches
+
+
 def _wide_weight_instance(m: int, n: int, spread: str) -> MspInstance:
     """First-row weights near 2^58..2^60, with a planted solution: the
     alpha range is far wider than the packed keys' value range, so only
@@ -829,8 +846,8 @@ def _batch_sizes(batch) -> tuple[int, int]:
 
 
 class TestPairBudgetedGroups:
-    """`SumsetEnumerator` batches: consecutive alphas grouped up to the
-    pair budget, across window boundaries."""
+    """`SumsetEnumerator` batches: consecutive alphas of one match grouped
+    up to the pair budget, across the window boundaries of its buffer."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -849,22 +866,31 @@ class TestPairBudgetedGroups:
         target = int(inst.d[0])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(enumerate1d, "BATCH_PAIRS", budget)
+            matches = _recording_matches(patch)
             enum = SumsetEnumerator(tables, target, window)
+            batches = list(iter(enum.next_batch, None))
         cap = enum.batch_pairs
         assert cap == max(enum.window_pairs, budget)
-        batches = list(iter(enum.next_batch, None))
         for batch in batches:
             assert_block_offsets(batch)
         # split per alpha, the groups are the heap's stream
         per_alpha = [p for b in batches for p in b.per_alpha()]
         expected = batch_stream(PairSumEnumerator(tables, target))
         assert batch_stream_of(per_alpha) == expected
-        sizes = [_batch_sizes(b) for b in batches]
-        for batch, (pairs, _) in zip(batches, sizes):
-            assert pairs <= cap or len(batch.alphas) == 1
-        # maximal: the next batch's first alpha would overflow each group
-        for (pairs, _), (_, first) in zip(sizes, sizes[1:]):
-            assert pairs + first > cap
+        # every batch was emitted by one match, in stream order
+        emitted = [b for *_, match in matches for b in match]
+        assert len(emitted) == len(batches)
+        assert all(a is b for a, b in zip(emitted, batches))
+        for lo, hi, match in matches:
+            # no batch spans two matches: its alphas lie in its buffer's
+            assert all(lo <= b.alphas[0] and b.alphas[-1] <= hi for b in match)
+            sizes = [_batch_sizes(b) for b in match]
+            for batch, (pairs, _) in zip(match, sizes):
+                assert pairs <= cap or len(batch.alphas) == 1
+            # maximal within its match: the next batch's first alpha
+            # would overflow each group
+            for (pairs, _), (_, first) in zip(sizes, sizes[1:]):
+                assert pairs + first > cap
 
     def test_a_group_crosses_window_boundaries(self, monkeypatch):
         # windows of at most 7 distinct-weight pairs per side, groups of
@@ -889,3 +915,20 @@ class TestPairBudgetedGroups:
             if ends.searchsorted(g.alphas[0]) != ends.searchsorted(g.alphas[-1])
         ]
         assert crossing and all(g.n_left + g.n_right <= 64 for g in crossing)
+
+    def test_first_mode_stops_after_solving_buffer(self, monkeypatch):
+        # a sparse first-mode sweep: the solving alpha is in the last
+        # buffer matched, and at most the window that made that buffer
+        # full is cut past it
+        inst = surrogate_reduce(generate_instance(5, 100, 1), 3)
+        flushes = _recording_flush(monkeypatch)
+        windows = _recording_cut(monkeypatch)
+        got = solve(inst, SolverConfig(mode="first", worker_count=1))
+        assert got.feasible and got.stats.progress < 0.9
+        tables = build_quarter_tables(inst)
+        cols = tables[0].var_indices + tables[1].var_indices
+        alpha = sum(int(inst.a[0, c]) for c in cols if got.solutions[0][c])
+        lo, hi, _, _ = flushes[-1]
+        assert lo <= alpha <= hi
+        assert got.stats.windows == len(windows)
+        assert sum(w_lo > hi for w_lo, _, _ in windows) <= 1

@@ -245,7 +245,8 @@ class TestPipeline:
 
         monkeypatch.setattr(threading, "Thread", no_thread)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # four validators
-        inst = seeded_instance(0, m=2, n=16, k=8)
+        # one window of 16 alphas, matched and validated in one call
+        inst = seeded_instance(4, m=2, n=16, k=8)
         for cfg in (SolverConfig(), SolverConfig(mode="all")):
             got = solve(inst, cfg)
             assert got.feasible and got.stats.validate_calls == 1

@@ -603,13 +603,13 @@ class TestChunking:
         assert batch.n_left > 4 * chunk and batch.n_right > chunk
         assert 0 < self._call_peak(batch, tables, inst, chunk) <= self.BUDGET
 
-    def test_grouped_batch_peaks_within_memory_budget(self, monkeypatch):
+    def test_grouped_batch_peaks_within_memory_budget(self):
         # with reduce_rows=3 nearly every alpha has one pair per side, so a
-        # group is one-pair blocks of thousands of alphas; a pair budget of
-        # 2^17 makes this instance's whole sweep one group
-        monkeypatch.setattr(enumerate1d, "BATCH_PAIRS", 2**17)
+        # group is one-pair blocks of thousands of alphas; a window cap of
+        # 2^17 (and so a pair budget of 2^17) makes this instance's whole
+        # sweep one buffer, matched into one group
         inst = surrogate_reduce(generate_instance(5, 100, 3), 3)
-        tables, batches = _window_batches(inst)
+        tables, batches = _window_batches(inst, window=2**17)
         batch = max(batches, key=lambda b: b.n_left + b.n_right)
         assert len(batch.alphas) > 30_000
         assert len(batch.left_pairs.inner_start) == batch.n_left

@@ -2,6 +2,7 @@
 
     python tools/ab.py PARENT_SRC CHANGE_SRC --workload NAME [--rounds N]
                        [--seeds 1,3 | --held-out | --smoke]
+                       [--expect-changed FIELD[,FIELD]]
 
 PARENT_SRC and CHANGE_SRC are `src` directories, each holding a
 `marketsplit` package.  Both packages are loaded into this one process
@@ -17,11 +18,16 @@ held-out seeds, which were never used while tuning, so a claim can be
 checked on instances it was not fitted to.  An untimed warm-up round
 checks both trees' answers against the frozen reference; every round
 then asserts that the two trees return the same solutions and the same
-`SolveStats` counters (every field but the `t_*` timings).  Each round
-solves the workload's seeds back to back with each tree, alternating
-which tree goes first.  The report gives each tree's median and
-quartiles of the round times and the median and interquartile range of
-the per-round ratios change / parent.
+`SolveStats` counters (every field but the `t_*` timings), except the
+counters named by `--expect-changed`, which a change may move on
+purpose; the report gives their totals over the seeds per round for
+each tree.  Each round solves the workload's seeds back to back with
+each tree, alternating which tree goes first.  The report gives each
+tree's median and quartiles of the round times and its median minor
+page faults per round (`resource.getrusage`; a change in how long large
+arrays live can move wall time through the allocator returning memory
+to the system and faulting it back in), and the median and
+interquartile range of the per-round ratios change / parent.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import argparse
 import dataclasses
 import gc
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -52,9 +59,12 @@ def load_package(src: Path, name: str):
     return module
 
 
-def counters(stats) -> dict:
-    """Every `SolveStats` field but the timings."""
-    return {k: v for k, v in dataclasses.asdict(stats).items() if not k.startswith("t_")}
+def counters(stats, skip=()) -> dict:
+    """Every `SolveStats` field but the timings and those in `skip`."""
+    return {
+        k: v for k, v in dataclasses.asdict(stats).items()
+        if not k.startswith("t_") and k not in skip
+    }
 
 
 class Tree:
@@ -66,13 +76,20 @@ class Tree:
         self.cfg = workload.config(self.ms)
         self.instances = [self.ms.parse_instance(text) for text in texts]
         self.times: list[float] = []
+        self.faults: list[int] = []
+        # per round, the totals over the seeds of the --expect-changed counters
+        self.changed: list[tuple[int, ...]] = []
 
     def run(self) -> tuple[float, list]:
-        """Seconds to solve every instance back to back, and the results."""
+        """Seconds to solve every instance back to back, and the results;
+        the pass's minor page faults are appended to `faults`."""
         gc.collect()
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         results = [self.ms.solve(inst, self.cfg) for inst in self.instances]
-        return time.perf_counter() - t0, results
+        seconds = time.perf_counter() - t0
+        self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+        return seconds, results
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -103,6 +120,13 @@ def parse_args(argv):
         action="store_true",
         help="the workload's configuration on the (3,20,100) smoke instance",
     )
+    p.add_argument(
+        "--expect-changed",
+        type=lambda s: tuple(s.split(",")),
+        default=(),
+        metavar="FIELD[,FIELD]",
+        help="SolveStats counters the change may move; their totals are reported",
+    )
     args = p.parse_args(argv)
     if sum(map(bool, (args.seeds, args.held_out, args.smoke))) > 1:
         p.error("--seeds, --held-out and --smoke exclude each other")
@@ -131,10 +155,19 @@ def main(argv=None) -> int:
     entries = [reference["instances"][instance_name(workload.m, s)] for s in seeds]
     parent = Tree("parent", args.parent_src.resolve(), workload, texts)
     change = Tree("change", args.change_src.resolve(), workload, texts)
+    moving = args.expect_changed
+    for tree in (parent, change):
+        unknown = set(moving) - set(counters(tree.ms.SolveStats()))
+        if unknown:
+            raise SystemExit(
+                f"--expect-changed: not a SolveStats counter of the {tree.label} "
+                f"tree: {', '.join(sorted(unknown))}"
+            )
 
     # warm-up, untimed: both trees must match the frozen reference
     for tree in (parent, change):
         _, results = tree.run()
+        tree.faults.clear()
         for seed, inst, entry, result in zip(seeds, tree.instances, entries, results):
             reason = check_answer(result, inst, entry, workload.mode, tree.ms)
             if reason is not None:
@@ -148,20 +181,33 @@ def main(argv=None) -> int:
             seconds, results = tree.run()
             tree.times.append(seconds)
             outcomes[tree.label] = [
-                (res.solutions, counters(res.stats)) for res in results
+                (res.solutions, counters(res.stats, moving)) for res in results
             ]
+            tree.changed.append(tuple(
+                sum(getattr(res.stats, k) for res in results) for k in moving
+            ))
         for seed, got, expected in zip(seeds, outcomes["change"], outcomes["parent"]):
             if got != expected:
                 raise SystemExit(f"round {r}, seed {seed}: answers or counters differ")
         ratios.append(change.times[-1] / parent.times[-1])
 
+    others = ", except " + ", ".join(moving) + "," if moving else ""
     print(
         f"workload {workload.name}, seeds {','.join(map(str, seeds))}, "
-        f"{args.rounds} rounds; same answers and counters in every round"
+        f"{args.rounds} rounds; same answers and counters{others} in every round"
     )
     for tree in (parent, change):
         q1, q2, q3 = quartiles(tree.times)
-        print(f"{tree.label:>6}: median {q2:.4f} s  (quartiles {q1:.4f}, {q3:.4f})")
+        print(
+            f"{tree.label:>6}: median {q2:.4f} s  (quartiles {q1:.4f}, {q3:.4f}); "
+            f"minor faults {statistics.median(tree.faults):.0f} per round"
+        )
+    for i, name in enumerate(moving):
+        totals = []
+        for tree in (parent, change):
+            low, high = min(t[i] for t in tree.changed), max(t[i] for t in tree.changed)
+            totals.append(f"{low}" if low == high else f"{low}–{high}")
+        print(f"{name}: parent {totals[0]}, change {totals[1]} (per round, all seeds)")
     q1, q2, q3 = quartiles(ratios)
     wins = sum(x < 1 for x in ratios)
     print(
