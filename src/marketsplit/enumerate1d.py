@@ -14,45 +14,57 @@ power set: space stays at 4 * 2^(n/4) table entries.
 Within a batch, left pairs are listed by B index, then A index; right
 pairs by D index, then C index.  Equal weights form contiguous runs in
 every table, so each side of a batch is a list of (fixed run x inner
-run) blocks -- a B run with an A run, or a D run with a C run -- held as
-`RunBlocks`.  The validator hashes the blocks directly, and anything
-else expands them to index pairs only a slice at a time.
+range) blocks -- a B run with a contiguous range of A entries, or a D
+run with one of C entries -- held as `RunBlocks`.  The validator hashes
+the blocks directly, and anything else expands them to index pairs only
+a slice at a time.
 
 `SumsetEnumerator` is the one enumerator `solve()` runs.  It sweeps
 alpha in windows [lo, hi] over the distinct-weight sumsets uA + uB and
 d_1 - (uC + uD).  Per window, a vectorized `searchsorted` lists the
-distinct-weight pairs whose sums fall in it, and `_bitmap_survivors`,
-the filter the validator's hash join also runs, drops the sums whose
-low bits the other side lacks: they cannot match.  Windows are cut so
+distinct-weight pairs whose sums fall in it.  Windows are cut so
 neither side holds more than 4 * 2^(n/4) distinct-weight pairs (one
 alpha never needs more than min(|uA|, |uB|)) and hi - lo < 2^(64 -
-that cap's bit length).
+that cap's bit length).  A window spanning at most the cap's count of
+alphas counts each side's index pairs per alpha exactly (a `bincount`
+per side), so it keeps exactly the sums of its common alphas, those
+both sides hold; a wider one keeps the sums that `_bitmap_survivors`,
+the filter the validator's hash join also runs, passes: those whose low
+bits the other side also holds.
 
-The survivors are matched once per buffer, not once per window: each
-window appends its survivors' sums, as offsets from the buffer's first
-lo, and their runs.  The buffer is matched before a window's survivors
-would take it past the cap on either side, before a window whose hi
-would break the clamp on hi - lo counted from the buffer's first lo,
-and when the sweep ends; so it holds at most the cap per side beside
-the current window, and space stays O(4 * 2^(n/4)).  A window whose
-survivors alone fill more than half the cap is matched at once, alone
-and keyed by positions into its own arrays.  A match packs each side's
-sums as keys ((sum - lo) << s) | position (s: the larger side's
-position bits, at most the cap's bit length, so the clamp keeps every
-key exact) and sorts them once.  The values both sides share are the
-alphas, and each alpha's positions are one range of its side's keys,
-already fixed-major; they map back to the pairs' runs through the
-positions.  Each match cuts its alphas, ascending, into pair-budgeted
-batches: each batch is the longest run of consecutive alphas holding at
-most `batch_pairs` = max(window cap, `BATCH_PAIRS`) index pairs, or one
-alpha over that alone.  A batch may span several windows of one buffer
-but never two matches, so a sweep validates each buffer's alphas before
-it cuts more than one window past them.  Its sides are `RunBlocks`
-whose fields are views of the match's, with the sorted alphas and each
-alpha's left and right block offsets, so the validator checks the whole
-batch in one join.  The heap emits the same format with one alpha per
-batch; split per alpha (`CandidateBatch.per_alpha`), both enumerators
-give the same stream.
+A narrow window whose kept sums fill more than half the cap on either
+side is dense, and is cut at once into interval batches: each the
+longest run of consecutive common alphas whose span holds at most
+`batch_pairs` = max(window cap, `BATCH_PAIRS`) index pairs on both
+sides together, or one common alpha over that alone.  An interval's
+blocks are one per fixed run, with the inner entries whose sums lie in
+its span: one contiguous range, read from the sweep's frontiers
+(`_SumsetSide.count_le`) at the span's ends.  Nothing is sorted or
+matched, and the rows are long; the pairs of alphas in the span that
+only one side holds ride along and can never match.
+
+The kept sums of other windows are matched once per buffer, not once
+per window: each window appends its sums, as offsets from the buffer's
+first lo, and their runs.  The buffer is matched before a window's sums
+would take it past the cap on either side, before a dense window,
+before a window whose hi would break the clamp on hi - lo counted from
+the buffer's first lo, and when the sweep ends; so it holds at most the
+cap per side beside the current window, and space stays O(4 *
+2^(n/4)).  A match packs each side's sums as keys ((sum - lo) << s) |
+position (s: the larger side's position bits, at most the cap's bit
+length, so the clamp keeps every key exact) and sorts them once.  The
+values both sides share are the alphas, and each alpha's positions are
+one range of its side's keys, already fixed-major; they map back to the
+pairs' runs through the positions.  Each match cuts its alphas,
+ascending, into batches of one-alpha intervals under the same budget:
+each batch the longest run of consecutive alphas holding at most
+`batch_pairs` pairs, or one alpha over that alone.  A batch may span
+several windows of one buffer but never two matches, so a sweep
+validates each buffer's alphas before it cuts more than one window past
+them.  Its sides are `RunBlocks` whose fields are views of the match's.
+The heap emits the same format with one alpha per batch; split per
+alpha (`CandidateBatch.per_alpha`), both enumerators give the same
+stream.
 
 `PairSumEnumerator` is the paper's heap formulation, kept as the
 reference the sumset sweep is tested against.  H1 is a min-heap holding
@@ -71,7 +83,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heapreplace
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -237,12 +249,14 @@ def permuted_rhs(inst: MspInstance, tables: Sequence[QuarterTable]) -> np.ndarra
 
 
 class RunBlocks:
-    """One side of a batch as (fixed run x inner run) blocks.
+    """One side of a batch as (fixed run x inner range) blocks.
 
     Block b stands for the index pairs (inner_start[b] + s,
     fixed_start[b] + t) with s < inner_len[b] and t < fixed_len[b] (both
     lengths >= 1), listed t-major: `fixed_len[b]` rows, each one fixed
-    index with a contiguous run of inner indices.  The blocks follow each
+    index with a contiguous range of inner indices, within one
+    equal-weight run of the inner table or, in a wide alpha interval's
+    block, over several.  The blocks follow each
     other in array order; `starts[b]` is block b's first pair offset, and
     `starts[-1]` the pair count.  `len()` counts pairs, and `[lo:hi]`
     expands just that range to a (hi - lo, 2) int64 array, so a consumer
@@ -357,18 +371,25 @@ class RunBlocks:
 
 @dataclass(frozen=True)
 class CandidateBatch:
-    """The candidate pairs of one or more consecutive alphas, ascending.
+    """The candidate pairs of ascending, disjoint alpha intervals.
 
     `left_pairs` holds index pairs into tables A and B (`[:, 0]` of an
     expansion indexes A), `right_pairs` likewise into C and D, both as
     `RunBlocks`; a pair of weight alpha on the left partners those of
-    weight beta = `target` - alpha on the right.  `left_at` and
-    `right_at` are block offsets: `alphas[i]` owns the blocks
-    `left_at[i]:left_at[i+1]` of the left side, at least one, and
-    likewise on the right, so `left_at[0] == 0` and `left_at[-1]` is the
-    left block count.  `alpha` and `beta` are those of `alphas[0]`.  The
-    heap emits one alpha per batch (`of_alpha`), the sumset sweep
-    pair-budgeted groups.
+    weight beta = `target` - alpha on the right.  `alphas` are the
+    common alphas, ascending: those both sides hold, `alphas[i]` with
+    `left_counts[i]` left and `right_counts[i]` right pairs.  Interval k
+    spans the alphas `alphas[alpha_at[k]]` to `alphas[alpha_at[k+1] - 1]`
+    and owns the blocks `left_at[k]:left_at[k+1]` of the left side, at
+    least one, and likewise on the right; so `left_at[0] == 0` and
+    `left_at[-1]` is the left block count.  Every pair of an interval's
+    blocks has a weight in that interval.  A one-alpha interval's blocks
+    hold exactly that alpha's pairs; the blocks of a wider one are long
+    rows that run over several alphas, including alphas only one side
+    holds, whose pairs can never match.  `alpha` and `beta` are those of
+    `alphas[0]`.  The heap emits one one-alpha interval per batch
+    (`of_alpha`); the sumset sweep emits groups of one-alpha intervals
+    and single wide intervals (see `SumsetEnumerator`).
     """
 
     target: int
@@ -377,12 +398,19 @@ class CandidateBatch:
     right_pairs: RunBlocks
     left_at: np.ndarray
     right_at: np.ndarray
+    alpha_at: np.ndarray
+    left_counts: np.ndarray
+    right_counts: np.ndarray
 
     @classmethod
     def of_alpha(cls, target: int, alpha: int, left, right) -> "CandidateBatch":
         """The batch of one alpha: every block of `left` and `right`."""
         at = (np.array([0, len(s.inner_start)], dtype=np.int64) for s in (left, right))
-        return cls(target, np.array([alpha], dtype=np.uint64), left, right, *at)
+        counts = (np.array([len(s)], dtype=np.int64) for s in (left, right))
+        return cls(
+            target, np.array([alpha], dtype=np.uint64), left, right, *at,
+            np.array([0, 1], dtype=np.int64), *counts,
+        )
 
     @property
     def alpha(self) -> int:
@@ -400,21 +428,51 @@ class CandidateBatch:
     def n_right(self) -> int:
         return len(self.right_pairs)
 
-    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(alphas, left pair edges, right pair edges): alpha i's pairs are
-        `left_pairs[edges[i]:edges[i+1]]`, likewise on the right."""
-        return (self.alphas, *self._edges)
+    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lows, highs, left pair edges, right pair edges): interval k
+        spans the alphas lows[k]..highs[k] and holds the pairs
+        `left_pairs[edges[k]:edges[k+1]]`, likewise on the right."""
+        return self._spans
 
     @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both sides' pair edges, gathered once per batch."""
-        left, right = self.left_pairs, self.right_pairs
-        return left.starts[self.left_at], right.starts[self.right_at]
+    def _spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The intervals' bounds and both sides' pair edges, gathered once
+        per batch; one-alpha intervals' bounds are `alphas` itself."""
+        at, bounds = self.alpha_at, (self.alphas, self.alphas)
+        if len(at) <= len(self.alphas):  # some interval holds several alphas
+            bounds = (self.alphas[at[:-1]], self.alphas[at[1:] - 1])
+        edges = (self.left_pairs.starts[self.left_at], self.right_pairs.starts[self.right_at])
+        return (*bounds, *edges)
 
-    def per_alpha(self) -> list["CandidateBatch"]:
-        """The batch as one single-alpha batch per alpha."""
-        left, right = self.left_pairs, self.right_pairs
-        l_at, r_at = self.left_at.tolist(), self.right_at.tolist()
+    def split(self, tables: Sequence[QuarterTable]) -> "CandidateBatch":
+        """The batch's common alphas as one one-alpha interval each, in the
+        heap's pair order: every block cut where its inner weight changes,
+        and each alpha's pieces kept in block order.  The pairs of alphas
+        only one side holds are dropped.  `tables` are the four tables
+        the batch indexes."""
+        sides, offsets = [], []
+        for side, t_in, t_fx, d0 in (
+            (self.left_pairs, tables[0], tables[1], None),
+            (self.right_pairs, tables[2], tables[3], self.target),
+        ):
+            alphas, fields = _alpha_pieces(side, t_in, t_fx, d0)
+            start = alphas.searchsorted(self.alphas)
+            count = alphas.searchsorted(self.alphas, side="right") - start
+            kept = _ranges(start, count)
+            sides.append(RunBlocks(*(f[kept] for f in fields)))
+            offsets.append(_offsets(count))
+        at = np.arange(len(self.alphas) + 1)
+        return replace(
+            self, left_pairs=sides[0], right_pairs=sides[1],
+            left_at=offsets[0], right_at=offsets[1], alpha_at=at,
+        )
+
+    def per_alpha(self, tables: Sequence[QuarterTable]) -> list["CandidateBatch"]:
+        """The batch as one one-alpha batch per common alpha, in the heap's
+        pair order (see `split`)."""
+        one = self.split(tables) if len(self.alpha_at) <= len(self.alphas) else self
+        left, right = one.left_pairs, one.right_pairs
+        l_at, r_at = one.left_at.tolist(), one.right_at.tolist()
         return [
             CandidateBatch.of_alpha(
                 self.target, alpha,
@@ -423,6 +481,31 @@ class CandidateBatch:
             )
             for i, alpha in enumerate(self.alphas.tolist())
         ]
+
+
+def _alpha_pieces(
+    side: RunBlocks, t_in: QuarterTable, t_fx: QuarterTable, d0: int | None
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Each block of `side` cut where its inner weight changes: the
+    pieces' alphas (pair weight, or d0 minus it) stably sorted, and their
+    `RunBlocks` fields in that order."""
+    lens = side.inner_len
+    pos = _ranges(side.inner_start, lens)
+    block = np.arange(len(lens)).repeat(lens)
+    cut = np.ones(len(pos), dtype=bool)
+    weights = t_in.weights[pos]
+    cut[1:] = (block[1:] != block[:-1]) | (weights[1:] != weights[:-1])
+    cut = np.flatnonzero(cut)
+    block = block[cut]
+    fields = (
+        pos[cut], np.diff(np.r_[cut, len(pos)]),
+        side.fixed_start[block], side.fixed_len[block],
+    )
+    alpha = weights[cut] + t_fx.weights[fields[2]]
+    if d0 is not None:
+        alpha = np.uint64(d0) - alpha
+    order = np.argsort(alpha, kind="stable")
+    return alpha[order], tuple(f[order] for f in fields)
 
 
 def _segments(runs: list[int]) -> RunBlocks:
@@ -536,6 +619,7 @@ class _SumsetSide:
     def __init__(self, inner: QuarterTable, fixed: QuarterTable):
         self.u_in, self.in_start, self.in_len = _distinct_runs(inner, True)
         self.u_fx, self.fx_start, self.fx_len = _distinct_runs(fixed, False)
+        self.in_end = self.in_start + self.in_len
 
     def count_le(self, v: int) -> np.ndarray:
         """Per fixed run y: the number of inner runs x with sum <= v."""
@@ -555,6 +639,26 @@ class _SumsetSide:
         out = self.u_in[x]
         out += self.u_fx[y]
         return out, x, y
+
+    def pair_counts(
+        self, values: np.ndarray, x: np.ndarray, y: np.ndarray, width: int
+    ) -> np.ndarray:
+        """Index pairs per value v < width of the pairs (x, y) listed by
+        `sums`, whose values (uint64, below width) are given."""
+        pairs = self.in_len[x] * self.fx_len[y]
+        counts = np.bincount(values.view(np.int64), weights=pairs, minlength=width)
+        return counts.astype(np.int64)
+
+    def blocks(self, lo: np.ndarray, hi: np.ndarray) -> RunBlocks:
+        """The pairs (x, y) with lo[y] <= x < hi[y] as one block per fixed
+        run y that has any: its entries with the inner entries of runs
+        lo[y]..hi[y]-1, one contiguous range of the inner table."""
+        y = np.flatnonzero(hi > lo)
+        first, last = lo[y], hi[y] - 1
+        # runs in ascending weight are in descending table order on C
+        start = np.minimum(self.in_start[first], self.in_start[last])
+        end = np.maximum(self.in_end[first], self.in_end[last])
+        return RunBlocks(start, end - start, self.fx_start[y], self.fx_len[y])
 
     def select(
         self, keys: np.ndarray, values: np.ndarray, s: int, x: np.ndarray,
@@ -652,12 +756,13 @@ class SumsetEnumerator:
     caps the distinct-weight pairs either side holds per window
     (default: the total table size, the four-table space bound);
     `peak_window_pairs` is the most either side held, and `windows`
-    counts the windows cut.  `_buffer` holds sparse windows' survivors
-    until `_flush` matches them (see the module docstring) and appends
-    the match's batches to `_pending`.  Every batch is a pair-budgeted
-    group (`alphas` set) of one match: consecutive alphas holding at most
-    `batch_pairs` = max(`window_pairs`, `BATCH_PAIRS`) pairs on both
-    sides together, or one alpha over that.
+    counts the windows cut.  A dense window becomes interval batches at
+    once (`_intervals`); `_buffer` holds other windows' kept sums until
+    `_flush` matches them and cuts their alphas into groups of one-alpha
+    intervals (see the module docstring).  Both append to `_pending`,
+    under one budget: at most `batch_pairs` = max(`window_pairs`,
+    `BATCH_PAIRS`) pairs on both sides together per batch, or one alpha
+    over that alone.
     """
 
     def __init__(
@@ -682,10 +787,10 @@ class SumsetEnumerator:
         self._rcount = self._right.count_le(self.target - self._lo)
         self._l_total, self._r_total = int(self._lcount.sum()), int(self._rcount.sum())
         self._pending: deque[CandidateBatch] = deque()
-        # survivors not yet matched: per window, each side's (sum -
-        # _buffer_lo, positions into x and y or None if gathered, x, y);
-        # the windows span _buffer_lo.._buffer_hi, and `_buffered`
-        # counts the survivors per side
+        # sparse windows' survivors not yet matched: per window, each
+        # side's (sum - _buffer_lo, x, y); the windows span
+        # _buffer_lo.._buffer_hi, and `_buffered` counts the survivors
+        # per side
         self._buffer: list[tuple[np.ndarray, ...]] = []
         self._buffer_lo = self._buffer_hi = 0
         self._buffered = (0, 0)
@@ -696,16 +801,15 @@ class SumsetEnumerator:
     def next_batch(
         self, should_stop: Callable[[], bool] | None = None
     ) -> CandidateBatch | None:
-        """Next group of equal-weight candidate batches, or None once
-        exhausted.  `should_stop` (a callable) is polled before each
-        window; once it returns true, the call returns None and leaves
-        `exhausted` False."""
+        """Next batch of alpha intervals, or None once exhausted.
+        `should_stop` (a callable) is polled before each window; once it
+        returns true, the call returns None and leaves `exhausted`
+        False."""
         while not self._pending:
             if self._lo <= self._end:
                 if should_stop is not None and should_stop():
                     return None
-                if self._sweep_window():
-                    self._flush()
+                self._sweep_window()
             elif self._buffer:
                 self._flush()
             else:
@@ -749,9 +853,10 @@ class SumsetEnumerator:
         self._width = low - lo + 1
         return low, probe
 
-    def _sweep_window(self) -> bool:
-        """Cut the next window and buffer its filter's survivors; true
-        when the buffer is to be matched at once."""
+    def _sweep_window(self) -> None:
+        """Cut the next window and filter its sums: cut a dense window
+        into interval batches at once, buffer a sparse one's survivors
+        (matching the buffer first if they would overflow it)."""
         hi, (held, lcount, rcount, l_total, r_total) = self._cut()
         self.windows += 1
         self.peak_window_pairs = max(self.peak_window_pairs, held)
@@ -762,12 +867,21 @@ class SumsetEnumerator:
         r_val, r_x, r_y = self._right.sums(rcount, r_hi)
         l_val -= np.uint64(lo)
         np.subtract(np.uint64(self.target - lo), r_val, out=r_val)
-        # only sums whose low bits the other side also holds can match
-        l_pos, r_pos = _bitmap_survivors(l_val, r_val)
-        if not len(l_pos):
-            return False
         cap = self.window_pairs
-        dense = 2 * max(len(l_pos), len(r_pos)) > cap
+        counts = None
+        if hi - lo < cap:  # narrow: each alpha's pairs counted exactly
+            counts = (
+                self._left.pair_counts(l_val, l_x, l_y, hi - lo + 1),
+                self._right.pair_counts(r_val, r_x, r_y, hi - lo + 1),
+            )
+            common = (counts[0] > 0) & (counts[1] > 0)
+            l_pos = np.flatnonzero(common[l_val.view(np.int64)])
+            r_pos = np.flatnonzero(common[r_val.view(np.int64)])
+        else:  # only sums whose low bits the other side also holds can match
+            l_pos, r_pos = _bitmap_survivors(l_val, r_val)
+        if not len(l_pos):
+            return
+        dense = counts is not None and 2 * max(len(l_pos), len(r_pos)) > cap
         n_left, n_right = self._buffered
         if self._buffer and (
             dense
@@ -776,6 +890,9 @@ class SumsetEnumerator:
         ):
             self._flush()
             n_left = n_right = 0
+        if dense:
+            self._intervals(lo, hi, (l_lo, lcount, rcount, r_hi), counts, common)
+            return
         if not self._buffer:
             self._buffer_lo = lo
         l_val, r_val = l_val[l_pos], r_val[r_pos]
@@ -783,43 +900,72 @@ class SumsetEnumerator:
             shift = np.uint64(lo - self._buffer_lo)
             l_val += shift
             r_val += shift
-        if dense:  # alone in the buffer, keyed by positions into its pairs
-            part = (l_val, l_pos, l_x, l_y, r_val, r_pos, r_x, r_y)
-        else:
-            part = (
-                l_val, None, l_x[l_pos], l_y[l_pos],
-                r_val, None, r_x[r_pos], r_y[r_pos],
-            )
-        self._buffer.append(part)
+        self._buffer.append((l_val, l_x[l_pos], l_y[l_pos], r_val, r_x[r_pos], r_y[r_pos]))
         self._buffered = (n_left + len(l_pos), n_right + len(r_pos))
         self._buffer_hi = hi
-        return dense
+
+    def _intervals(
+        self, lo: int, hi: int, frontiers: tuple, counts: tuple, common: np.ndarray
+    ) -> None:
+        """Cut a dense window [lo, hi] into interval batches: each the
+        longest run of consecutive common alphas whose span holds at most
+        `batch_pairs` pairs on both sides together, or one common alpha
+        over that alone.  `counts` holds each side's pairs per alpha - lo,
+        `common` marks the alphas both hold; each interval's blocks come from the frontiers at its ends, of
+        which `frontiers` holds the window's (left at lo - 1 and hi, right
+        at d_1 - hi - 1 and d_1 - lo)."""
+        common = np.flatnonzero(common)
+        total = _offsets(counts[0] + counts[1])
+        before, through = total[common], total[common + 1]
+        l_count, r_count = (c[common] for c in counts)
+        alphas = common.astype(np.uint64) + np.uint64(lo)
+        target = self.target
+        l_lo, l_hi, r_lo, r_hi = frontiers
+        # per side, the frontiers known so far, by value
+        known = {self._left: {lo - 1: l_lo, hi: l_hi},
+                 self._right: {target - hi - 1: r_lo, target - lo: r_hi}}
+
+        def blocks(side: _SumsetSide, v0: int, v1: int) -> RunBlocks:
+            """The pairs with v0 < sum <= v1 as blocks."""
+            for v in (v0, v1):
+                if v not in known[side]:
+                    known[side][v] = side.count_le(v)
+            return side.blocks(known[side][v0], known[side][v1])
+
+        n, i = len(common), 0
+        while i < n:
+            j = int(through.searchsorted(before[i] + self.batch_pairs, side="right"))
+            j = max(j, i + 1)
+            a0, a1 = int(alphas[i]), int(alphas[j - 1])
+            left_blocks = blocks(self._left, a0 - 1, a1)
+            right_blocks = blocks(self._right, target - a1 - 1, target - a0)
+            self._pending.append(CandidateBatch(
+                target, alphas[i:j], left_blocks, right_blocks,
+                np.array([0, len(left_blocks.inner_start)], dtype=np.int64),
+                np.array([0, len(right_blocks.inner_start)], dtype=np.int64),
+                np.array([0, j - i], dtype=np.int64), l_count[i:j], r_count[i:j],
+            ))
+            i = j
 
     def _flush(self) -> None:
-        """Match the buffer and cut its alphas into batches: one part per
-        side, the buffered windows' (sum - _buffer_lo, position, x, y)
-        joined."""
+        """Match the buffer and cut its alphas into batches of one-alpha
+        intervals: one part per side, the buffered windows' (sum -
+        _buffer_lo, x, y) joined."""
         parts, self._buffer, self._buffered = self._buffer, [], (0, 0)
         lo, hi = self._buffer_lo, self._buffer_hi
-        if len(parts) == 1:
-            l_key, l_pos, l_x, l_y, r_key, r_pos, r_x, r_y = parts[0]
-        else:  # gathered parts only, their positions in buffer order
-            l_key, l_pos, l_x, l_y, r_key, r_pos, r_x, r_y = (
-                None if c[0] is None else np.concatenate(c) for c in zip(*parts)
-            )
+        l_key, l_x, l_y, r_key, r_x, r_y = (
+            c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts)
+        )
         del parts
         # one plain sort of each side's keys ((sum - lo) << s) | position
         # (the sums become the keys in place): the alphas are the values
         # both share, each one's positions a range
         s = max(len(l_x), len(r_x)).bit_length()
         assert hi - lo < 1 << (64 - s), "window too wide for its packed keys"
-        for key, pos in ((l_key, l_pos), (r_key, r_pos)):
+        for key in (l_key, r_key):
             key <<= np.uint64(s)
-            if pos is None:  # gathered survivors, in buffer order
-                pos = np.arange(len(key))
-            key |= pos.view(np.uint64)
+            key |= np.arange(len(key), dtype=np.uint64)
             key.sort()
-        del l_pos, r_pos
         l_sum, r_alpha = l_key >> np.uint64(s), r_key >> np.uint64(s)
         common = _shared_values(l_sum, r_alpha)
         if not len(common):
@@ -843,6 +989,7 @@ class SumsetEnumerator:
                 RunBlocks(*(f[lb:le] for f in left)),
                 RunBlocks(*(f[rb:re] for f in right)),
                 l_at[i : j + 1] - lb, r_at[i : j + 1] - rb,
+                np.arange(j - i + 1), l_pairs[i:j], r_pairs[i:j],
             ))
             i = j
 

@@ -3,11 +3,11 @@
 The driver applies an optional surrogate reduction, builds the four
 block tables for the (possibly merged) first row, and streams candidate
 batches from the sumset enumerator into the batch validator.  Each
-batch is a pair-budgeted group of consecutive alphas (see
-`SumsetEnumerator`), validated in one call and counted as the per-alpha
-batches it holds, so `batches`, `max_batch_pairs` and `progress` read as
-they would for the heap's per-alpha stream; `validate_calls` counts the
-calls.  Tiny instances skip the table machinery entirely and go straight
+batch is a pair-budgeted run of consecutive alphas (see
+`SumsetEnumerator`), validated in one call and counted by its common
+alphas and their pair counts, so `batches`, `max_batch_pairs` and
+`progress` read as they would for the heap's per-alpha stream;
+`validate_calls` counts the calls.  Tiny instances skip the table machinery entirely and go straight
 to the brute-force oracle.  Enumeration is inherently serial; validation
 runs on `worker_count` validators, the calling thread and helper threads,
 each of which refills a bounded batch buffer from the enumerator when it
@@ -277,12 +277,13 @@ def _batch_counts(batch, last_alpha: int | None) -> tuple[int, int, int]:
     stream would count, but no alpha past `last_alpha` (the solving one,
     where a first-solution solve stops): the alphas, the most pairs of
     one alpha and the last alpha."""
-    alphas, l_at, r_at = batch.spans()
+    alphas = batch.alphas
     k = len(alphas)
     if last_alpha is not None:
-        k = int(alphas.searchsorted(last_alpha, side="right"))
-    pairs = l_at[: k + 1] + r_at[: k + 1]  # both sides' pairs before each alpha
-    return k, int(np.diff(pairs).max()), int(alphas[k - 1])
+        # a Python int would be compared as a float64, inexact past 2^53
+        k = int(alphas.searchsorted(np.uint64(last_alpha), side="right"))
+    pairs = batch.left_counts[:k] + batch.right_counts[:k]
+    return k, int(pairs.max()), int(alphas[k - 1])
 
 
 def _merge_vstats(stats: SolveStats, vstats: ValidationStats) -> None:

@@ -23,12 +23,14 @@ that wrapped vector, which no left residual can equal, so no filtering
 pass is needed.
 
 Coordinate 0 of every residual must equal the pair's alpha.  It is
-checked once per block, not per pair: the block's inner and fixed runs
-must each lie inside one equal-weight run of their table, so all its
-pairs share the weight of its first pair, and that weight (left) or d_1
-minus it (right) must be the block's alpha.  The blocks of a chunk are
-checked before the chunk is first joined, so the check's temporaries
-scale with the chunk, not with the batch.
+checked once per block, not per pair: the block's fixed range must lie
+inside one equal-weight run of its table, and the weights of its first
+and last pairs (left: the weight; right: d_1 minus it) must lie in the
+block's alpha interval.  Inner weights are monotone along a block, so
+then every pair's does; for a one-alpha interval this says every pair
+has that alpha.  The blocks of a chunk are checked before the chunk is
+first joined, so the check's temporaries scale with the chunk, not with
+the batch.
 
 `join_hashes` finds the equal-hash pairs.  It first runs the two-way
 bitmap filter it shares with the enumerator's window sweep
@@ -50,16 +52,22 @@ Oversized batches are cut into chunk pairs to respect a memory budget;
 chunking never changes the result set because the pair product is
 partitioned disjointly.
 
-A grouped batch carries the candidates of many consecutive alphas, up
-to the enumerator's pair budget (see `CandidateBatch` and
-`SumsetEnumerator`), and is validated by the same joins as one batch:
-the hash covers coordinate 0, which is alpha on both sides, so pairs of
-different alphas can only collide, and the exact confirmation rejects
-any such hit.  A left chunk is joined only with the right pairs of the
-alphas it holds.  Each alpha owns whole blocks (the batch's block
-offsets), so the per-block check sees every pair with its own alpha.
-One call then pays the fixed cost of hashing and joining once for the
-whole group instead of once per alpha.
+A batch carries the candidates of many consecutive alphas, up to the
+enumerator's pair budget (see `CandidateBatch` and `SumsetEnumerator`):
+a group of one-alpha intervals, or one wide interval whose rows run
+over several alphas, including alphas that only one side holds.  It is
+validated by the same joins as one alpha: the hash covers coordinate
+0, which is alpha on both sides, so pairs of different alphas can only
+collide, and the exact confirmation rejects any such hit.  A left chunk
+is joined only with the right pairs of the intervals it holds, and each
+interval owns whole blocks (the batch's block offsets), so the
+per-block check sees every pair with its own interval.  A wide interval
+whose left side needs several chunks is split per alpha first
+(`CandidateBatch.split`, its blocks checked whole before), or each left
+chunk would meet every right pair of the interval.  One call then pays
+the fixed cost of hashing and joining once for the whole batch instead
+of once per alpha, and its solutions are returned stably sorted by
+alpha, so within an alpha they keep the per-alpha order.
 """
 
 from __future__ import annotations
@@ -309,15 +317,19 @@ def _confirm_exact(
     tables: Sequence[QuarterTable],
     inst: MspInstance,
     d: np.ndarray,
-) -> list[SolutionVector]:
+) -> tuple[list[SolutionVector], list[int]]:
     """Solutions among hash hits (A, B index rows `ab` aligned with C, D
-    rows `cd`) whose left residual equals d minus the right sum.
+    rows `cd`) whose left residual equals d minus the right sum, and
+    their alphas.
 
     The sum of all four contributions is at most the row sum, so
     comparing it with d cannot wrap.
     """
     exact = (_left_vectors(ab, tables) + _right_sums(cd, tables) == d).all(axis=1)
-    return _verified_solutions(inst, tables, np.hstack([ab[exact], cd[exact]]))
+    ab = ab[exact]
+    alphas = tables[0].weights[ab[:, 0]] + tables[1].weights[ab[:, 1]]
+    quads = np.hstack([ab, cd[exact]])
+    return _verified_solutions(inst, tables, quads), alphas.tolist()
 
 
 def match_batch(
@@ -366,14 +378,14 @@ def validate_chunked(
     the remaining chunk pairs are abandoned, and the caller must treat
     the batch as unfinished.
 
-    Each alpha owns the blocks between its block offsets, at least one
-    per side, and every block is checked against its alpha before its
-    chunk is first joined, left before right (see `_BlockCheck`).  A
-    batch of several alphas is joined as a whole (see the module
-    docstring): a left chunk meets only the right pairs of its own
-    alphas, cut into chunks from the first of them.  Solutions come in
-    chunk-pair order, (right, left) within a chunk pair, so by ascending
-    alpha.
+    Each alpha interval owns the blocks between its block offsets, at
+    least one per side, and every block is checked against its interval
+    before its chunk is first joined, left before right (see
+    `_BlockCheck`).  A batch of several intervals is joined as a whole
+    (see the module docstring): a left chunk meets only the right pairs
+    of its own intervals, cut into chunks from the first of them.
+    Solutions are returned stably sorted by alpha, in chunk-pair order
+    and (right, left) order within a chunk pair otherwise.
     """
     if chunk_pairs < 1:
         raise ValueError(f"chunk_pairs must be >= 1, got {chunk_pairs}")
@@ -382,28 +394,33 @@ def validate_chunked(
     if d is None:
         d = permuted_rhs(inst, tables)
     d = np.ascontiguousarray(d, dtype=np.uint64)
+    l_check, r_check = _BlockCheck.of(batch, tables, d)
+    if batch.n_left > chunk_pairs and len(batch.alpha_at) <= len(batch.alphas):
+        # each left chunk of a wide interval would meet all its right
+        # pairs: its blocks are checked whole, then split per alpha, so
+        # that a chunk meets only its own alphas'
+        l_check(0, batch.n_left)
+        r_check(0, batch.n_right)
+        batch = batch.split(tables)
+        l_check, r_check = _BlockCheck.of(batch, tables, d)
     left, right = batch.left_pairs, batch.right_pairs
-
-    alphas, l_edges, r_edges = batch.spans()
+    _, _, l_edges, r_edges = batch.spans()
     n_left = int(l_edges[-1])
-    l_check = _BlockCheck(left, tables[0], tables[1], alphas, batch.left_at, "left")
-    r_check = _BlockCheck(
-        right, tables[2], tables[3], alphas, batch.right_at, "right", d[0]
-    )
     stats.calls += 1
 
     solutions: list[SolutionVector] = []
+    alphas: list[int] = []
     right_done = 0  # right pairs before this were checked and counted
     for ls in range(0, n_left, chunk_pairs):
         l_end = min(ls + chunk_pairs, n_left)
         l_check(ls, l_end)
         left_h = backend.left_hashes(tables, left, ls, l_end)
         stats.candidates_left += l_end - ls
-        # only the right pairs of this chunk's alphas
+        # only the right pairs of this chunk's intervals
         r_lo, r_hi = _partner_range(l_edges, r_edges, ls, l_end)
         for rs in range(r_lo, r_hi, chunk_pairs):
             if should_stop is not None and should_stop():
-                return solutions
+                return _by_alpha(solutions, alphas)
             r_end = min(rs + chunk_pairs, r_hi)
             # right pairs are checked once they partner a checked left chunk
             if r_end > right_done:
@@ -415,24 +432,42 @@ def validate_chunked(
             )
             if not len(li):
                 continue
-            found = _confirm_exact(
+            found, found_alphas = _confirm_exact(
                 left.pairs_at(li + ls), right.pairs_at(ri + rs), tables, inst, d
             )
             stats.hash_hits += len(li)
             stats.exact_hits += len(found)
             solutions.extend(found)
-    return solutions
+            alphas.extend(found_alphas)
+    return _by_alpha(solutions, alphas)
+
+
+def _by_alpha(solutions: list[SolutionVector], alphas: list[int]) -> list[SolutionVector]:
+    """`solutions` stably sorted by their alphas."""
+    order = sorted(range(len(solutions)), key=alphas.__getitem__)
+    return [solutions[i] for i in order]
 
 
 class _BlockCheck:
-    """Asserts that every pair of one batch side has its alpha (see the
-    module docstring), for the blocks of one pair range at a time.  `at`
-    holds the alphas' block offsets: alpha i owns blocks at[i]..at[i+1]-1."""
+    """Asserts that every pair of one batch side lies in its alpha
+    interval (see the module docstring), for the blocks of one pair range
+    at a time.  `at` holds the intervals' block offsets: interval k owns
+    blocks at[k]..at[k+1]-1 and spans the alphas lows[k]..highs[k]."""
 
-    def __init__(self, side, t_in, t_fx, alphas, at, name: str, d0=None):
+    def __init__(self, side, t_in, t_fx, lows, highs, at, name: str, d0=None):
         self.side, self.t_in, self.t_fx = side, t_in, t_fx
-        self.alphas, self.at = alphas, at
+        self.lows, self.highs, self.at = lows, highs, at
         self.name, self.d0 = name, d0
+
+    @classmethod
+    def of(cls, batch: CandidateBatch, tables, d: np.ndarray) -> tuple["_BlockCheck", ...]:
+        """The checks of a batch's left and right sides."""
+        lows, highs, _, _ = batch.spans()
+        return (
+            cls(batch.left_pairs, tables[0], tables[1], lows, highs, batch.left_at, "left"),
+            cls(batch.right_pairs, tables[2], tables[3], lows, highs, batch.right_at,
+                "right", d[0]),
+        )
 
     def __call__(self, lo: int, hi: int) -> None:
         """Check the blocks holding pairs lo..hi-1."""
@@ -441,33 +476,60 @@ class _BlockCheck:
         side, t_in, t_fx, name, at = self.side, self.t_in, self.t_fx, self.name, self.at
         b0, b1 = side.block_range(lo, hi)
         s0, f0 = side.inner_start[b0:b1], side.fixed_start[b0:b1]
-        if not (
-            (s0 + side.inner_len[b0:b1] <= t_in.run_end[s0]).all()
-            and (f0 + side.fixed_len[b0:b1] <= t_fx.run_end[f0]).all()
-        ):
-            raise AssertionError(f"{name} run block crosses an equal-weight run")
-        # the alphas of blocks b0..b1-1, one per block
-        alpha = self.alphas
-        if len(alpha) > 1:
-            a0 = int(at.searchsorted(b0, side="right")) - 1
-            a1 = int(at.searchsorted(b1))
-            alpha = alpha[a0:a1].repeat(np.diff(np.clip(at[a0 : a1 + 1], b0, b1)))
+        if not (f0 + side.fixed_len[b0:b1] <= t_fx.run_end[f0]).all():
+            raise AssertionError(f"{name} run block crosses an equal-weight fixed run")
+        # the bounds of blocks b0..b1-1, one per block (one array for
+        # both if every interval has one alpha)
+        low, high = self.lows, self.highs
+        if len(low) > 1:
+            k0 = int(at.searchsorted(b0, side="right")) - 1
+            k1 = int(at.searchsorted(b1))
+            blocks = np.diff(np.clip(at[k0 : k1 + 1], b0, b1))
+            low = low[k0:k1].repeat(blocks)
+            high = low if self.highs is self.lows else high[k0:k1].repeat(blocks)
+            del blocks
+        # inner weights are monotone along a block, so the weights of its
+        # first and last pairs bound those of all its pairs; with one
+        # alpha per interval, that is the first pair's weight and an inner
+        # range inside one equal-weight run
         weight = t_in.weights[s0] + t_fx.weights[f0]
+        self._within(weight, low, high)
+        end = s0 + side.inner_len[b0:b1]
+        if high is low:
+            if not (end <= t_in.run_end[s0]).all():
+                raise AssertionError(f"{name} run block crosses an equal-weight inner run")
+            return
+        if not (end <= t_in.size).all():
+            raise AssertionError(f"{name} run block runs past its inner table")
+        end -= 1
+        np.take(t_in.weights, end, out=weight)
+        del end
+        weight += t_fx.weights[f0]
+        self._within(weight, low, high)
+
+    def _within(self, weight: np.ndarray, low, high) -> None:
+        """Assert low <= alpha <= high for the pair weights `weight`
+        (overwritten: on the right, alpha is d0 minus the weight)."""
         if self.d0 is not None:
-            weight = self.d0 - weight
-        if not (weight == alpha).all():
-            raise AssertionError(f"{name} run block weight disagrees with its alpha")
+            np.subtract(self.d0, weight, out=weight)
+        if high is low:
+            within = (weight == low).all()
+        else:
+            within = (low <= weight).all() and (weight <= high).all()
+        if not within:
+            raise AssertionError(f"{self.name} run block weight lies outside its interval")
 
 
 def _partner_range(
     l_edges: np.ndarray, r_edges: np.ndarray, lo: int, hi: int
 ) -> tuple[int, int]:
-    """Right pairs [start, end) of the alphas that left pairs lo..hi-1 hold
-    (lo < hi), given each alpha's pair edges on both sides: the pair
-    offsets of its first block, which every alpha has on each side."""
-    a0 = int(l_edges.searchsorted(lo, side="right")) - 1
-    a1 = int(l_edges.searchsorted(hi))
-    return int(r_edges[a0]), int(r_edges[a1])
+    """Right pairs [start, end) of the intervals that left pairs lo..hi-1
+    hold (lo < hi), given each interval's pair edges on both sides: the
+    pair offsets of its first block, which every interval has on each
+    side."""
+    k0 = int(l_edges.searchsorted(lo, side="right")) - 1
+    k1 = int(l_edges.searchsorted(hi))
+    return int(r_edges[k0]), int(r_edges[k1])
 
 
 def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> int:
@@ -484,12 +546,18 @@ def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> in
     Hashing a side from its blocks briefly needs 16 more bytes
     per pair beside the hashes, which is less.  The per-block checks run
     on one chunk's blocks before the chunk is joined and need at most 33
-    bytes per block, so per pair, of that chunk; beside the left chunk's
+    bytes per block, so per pair, of that chunk (the per-block lower
+    bound, the pair weights, the last inner indices or a gathered fixed
+    weight, and a comparison mask); beside the left chunk's
     hashes that is also less.  This holds for a grouped batch, whose
-    blocks may each be one pair, as for a batch of one alpha.  Not
-    charged: the hash hits, whose number the solutions and collisions
-    set.  No m-vector is built per pair, so `m` does not enter; the
-    reference path that does build them (`SerialBackend`) is not sized by
-    this budget.
+    blocks may each be one pair, as for a batch of one alpha; a batch of
+    several wide intervals (the sweep makes none) needs 8 more bytes per
+    block for the upper bounds.  Not charged: the hash hits, whose
+    number the solutions and collisions set, and the whole-batch check
+    and split of a wide interval too large for one left chunk, about 40
+    bytes per pair of a batch of at most the enumerator's pair budget,
+    the size of the sweep's own window arrays.  No m-vector is built
+    per pair, so `m` does not enter; the reference path that does build
+    them (`SerialBackend`) is not sized by this budget.
     """
     return max(1, budget_bytes // 64)

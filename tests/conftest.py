@@ -26,6 +26,21 @@ def seeded_instance(
     return MspInstance(rows, d, k_bound=k)
 
 
+def twin_instance(seed: int, m: int = 3, n: int = 20, k: int = 20) -> MspInstance:
+    """A planted solution x with columns 0 and 6 equal, x_0 = 1 and x_6 =
+    0: swapping them gives a second solution of the same alpha, since
+    both columns lie in the left half (blocks A and B for n >= 12).
+    Small coefficients keep the sweep's windows dense."""
+    rng = SplitMix64(seed)
+    rows = [[rng.below(k) for _ in range(n)] for _ in range(m)]
+    for row in rows:
+        row[6] = row[0]
+    x = [rng.below(2) for _ in range(n)]
+    x[0], x[6] = 1, 0
+    d = [sum(c for c, xi in zip(row, x) if xi) for row in rows]
+    return MspInstance(rows, d, k_bound=k)
+
+
 @st.composite
 def small_instances(
     draw,
@@ -55,7 +70,7 @@ def batch_vectors(tables, batch) -> set[tuple[int, ...]]:
     from marketsplit.enumerate1d import assemble_solution
 
     out = set()
-    for part in batch.per_alpha():
+    for part in batch.per_alpha(tables):
         for a_idx, b_idx in part.left_pairs:
             for c_idx, d_idx in part.right_pairs:
                 out.add(assemble_solution(tables, a_idx, b_idx, c_idx, d_idx))
@@ -67,5 +82,5 @@ def drain_all_batches(enumerator):
     the list compares alpha by alpha between enumerators."""
     batches = []
     while (batch := enumerator.next_batch()) is not None:
-        batches.extend(batch.per_alpha())
+        batches.extend(batch.per_alpha(enumerator.tables))
     return batches

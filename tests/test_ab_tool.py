@@ -38,9 +38,18 @@ def test_tree_against_itself():
     out = out.stdout
     assert "seeds 27, 3 rounds; same answers and counters in every round" in out
     lines = out.splitlines()
-    assert [line.split(":")[0].strip() for line in lines[1:]] == ["parent", "change", "ratio"]
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        "parent", "change", "ratio", "traced peak per seed (MB, untimed tracemalloc pass)"
+    ]
     for line in lines[1:3]:  # each tree's median minor page faults per round
         assert re.search(r"; minor faults \d+ per round$", line), line
+    # one traced solve per tree and seed; the same code peaks alike
+    peaks = re.fullmatch(
+        r"traced peak per seed \(MB, untimed tracemalloc pass\): "
+        r"parent s27 (\d+\.\d\d); change s27 (\d+\.\d\d)", lines[-1]
+    )
+    assert peaks, lines[-1]
+    assert 0 < float(peaks[1]) == float(peaks[2])
 
 
 def test_held_out_seeds():
@@ -48,6 +57,9 @@ def test_held_out_seeds():
     assert out.returncode == 0, out.stderr
     # reduced-m5's held-out seeds, read from perfbench/workloads.py
     assert "seeds 18,25, 1 rounds; same answers" in out.stdout
+    # a traced peak for each tree and seed
+    assert re.search(r"parent s18 [\d.]+, s25 [\d.]+; change s18 [\d.]+, s25 [\d.]+$",
+                     out.stdout.splitlines()[-1])
 
 
 def test_seed_choices_exclude_each_other():

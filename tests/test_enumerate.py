@@ -153,17 +153,27 @@ class TestRunExtract:
 
 
 def assert_block_offsets(batch) -> None:
-    """The batch invariant `validate_chunked` relies on: alphas strictly
-    ascend, and alpha i owns blocks at[i]..at[i+1]-1 of each side, at
-    least one, with the offsets covering every block."""
-    alphas = batch.alphas
+    """The batch invariant `validate_chunked` relies on: the common alphas
+    strictly ascend, each with pairs on both sides; interval k holds the
+    alphas alpha_at[k]..alpha_at[k+1]-1, at least one, and owns blocks
+    at[k]..at[k+1]-1 of each side, at least one, the offsets covering
+    every alpha and block; its blocks hold at least its alphas' pairs,
+    and exactly those if it has one alpha."""
+    alphas, alpha_at = batch.alphas, batch.alpha_at
     assert len(alphas) >= 1 and (alphas[1:] > alphas[:-1]).all()
-    for at, side in (
-        (batch.left_at, batch.left_pairs), (batch.right_at, batch.right_pairs)
+    assert alpha_at[0] == 0 and alpha_at[-1] == len(alphas)
+    assert (np.diff(alpha_at) >= 1).all()
+    one = np.diff(alpha_at) == 1
+    for at, side, counts in (
+        (batch.left_at, batch.left_pairs, batch.left_counts),
+        (batch.right_at, batch.right_pairs, batch.right_counts),
     ):
-        assert len(at) == len(alphas) + 1 and at[0] == 0
+        assert len(at) == len(alpha_at) and at[0] == 0
         assert (np.diff(at) >= 1).all()
         assert at[-1] == len(side.inner_start)
+        assert len(counts) == len(alphas) and (counts >= 1).all()
+        held, counted = np.diff(side.starts[at]), np.add.reduceat(counts, alpha_at[:-1])
+        assert (held >= counted).all() and (held[one] == counted[one]).all()
 
 
 class TestEnumerator:
@@ -449,37 +459,39 @@ def _recording_cut(monkeypatch) -> list[tuple[int, int, int]]:
 def _recording_flush(monkeypatch) -> list[tuple[int, int, tuple[int, int], int]]:
     """Patch `SumsetEnumerator._flush` to record each buffer of gathered
     survivors it matches: its first lo, last hi, survivors per side and
-    number of windows.  A dense window, matched alone from its own
-    arrays, records lo, hi and None."""
+    number of windows."""
     flushes = []
     flush = SumsetEnumerator._flush
 
     def recording_flush(self):
         lo, hi, parts = self._buffer_lo, self._buffer_hi, self._buffer
-        if parts[0][1] is None:  # no positions: gathered survivors
-            flushes.append((lo, hi, self._buffered, len(parts)))
-        else:
-            assert len(parts) == 1
-            flushes.append((lo, hi, None, 1))
+        flushes.append((lo, hi, self._buffered, len(parts)))
         flush(self)
 
     monkeypatch.setattr(SumsetEnumerator, "_flush", recording_flush)
     return flushes
 
 
-def _recording_matches(patch) -> list[tuple[int, int, list]]:
-    """Patch `SumsetEnumerator._flush` (through a `MonkeyPatch`) to record
-    each match: its buffer's first lo and last hi, and the batches it
-    emitted."""
+def _recording_matches(patch) -> list[tuple[int, int, list, bool]]:
+    """Patch `SumsetEnumerator._flush` and `_intervals` (through a
+    `MonkeyPatch`) to record each match: its buffer's first lo and last
+    hi, or its dense window's lo and hi, the batches it emitted, and
+    whether they are a dense window's intervals."""
     matches = []
-    flush = SumsetEnumerator._flush
+    flush, intervals = SumsetEnumerator._flush, SumsetEnumerator._intervals
 
     def recording_flush(self):
         lo, hi, before = self._buffer_lo, self._buffer_hi, len(self._pending)
         flush(self)
-        matches.append((lo, hi, list(self._pending)[before:]))
+        matches.append((lo, hi, list(self._pending)[before:], False))
+
+    def recording_intervals(self, lo, hi, *args):
+        before = len(self._pending)
+        intervals(self, lo, hi, *args)
+        matches.append((lo, hi, list(self._pending)[before:], True))
 
     patch.setattr(SumsetEnumerator, "_flush", recording_flush)
+    patch.setattr(SumsetEnumerator, "_intervals", recording_intervals)
     return matches
 
 
@@ -596,7 +608,7 @@ class TestSumsetEnumerator:
             assert batch_stream(enum) == expected
             bound = 1 << (64 - enum.window_pairs.bit_length())
             assert all(hi - lo < bound for lo, hi, _, _ in flushes)
-            gathered = [b for _, _, b, _ in flushes if b is not None]
+            gathered = [b for _, _, b, _ in flushes]
             assert all(max(b) <= enum.window_pairs for b in gathered)
             if window is None and spread == "clustered":
                 # several buffers, each far below the cap: the clamp, not
@@ -616,7 +628,7 @@ class TestSumsetEnumerator:
         assert max(n for *_, n in flushes) > 1
         for lo, hi, buffered, _ in flushes:
             assert lo <= hi
-            assert buffered is None or max(buffered) <= enum.window_pairs
+            assert max(buffered) <= enum.window_pairs
         # matched in sweep order: each buffer's alphas follow the last's
         assert all(a[1] < b[0] for a, b in zip(flushes, flushes[1:]))
 
@@ -700,26 +712,35 @@ class TestSumsetEnumerator:
         assert (enum._lcount == enum._left.count_le(end)).all()
         assert (enum._rcount == enum._right.count_le(target - end - 1)).all()
 
-    def test_stream_equals_heap_at_n40(self):
-        inst = generate_instance(5, 100, 1)
+    @pytest.mark.parametrize("m, batches", [(5, None), (6, 6)])
+    def test_dense_stream_equals_heap(self, m, batches):
+        # unreduced (5,40,100) and (6,50,100): nearly every window is
+        # dense, so batches are single wide intervals of long rows; split
+        # per alpha they are the heap's stream (the whole (5,40,100)
+        # sweep, the first `batches` batches of the (6,50,100) one)
+        inst = generate_instance(m, 100, 1)
         tables = build_quarter_tables(inst)
         target = int(inst.d[0])
         heap = PairSumEnumerator(tables, target)
         sumset = SumsetEnumerator(tables, target)
-
-        def sumset_per_alpha():
-            while (batch := sumset.next_batch()) is not None:
-                yield from batch.per_alpha()
-
-        per_alpha = sumset_per_alpha()
+        taken = list(itertools.islice(iter(sumset.next_batch, None), batches))
+        wide = [b for b in taken if len(b.alpha_at) == 2 and len(b.alphas) > 1]
+        assert len(wide) > len(taken) // 2
         count = 0
-        while (expected := heap.next_batch()) is not None:
-            got = next(per_alpha)
-            assert (got.alpha, got.beta) == (expected.alpha, expected.beta)
-            assert np.array_equal(got.left_pairs[:], expected.left_pairs[:])
-            assert np.array_equal(got.right_pairs[:], expected.right_pairs[:])
-            count += 1
-        assert next(per_alpha, None) is None and count > 100
+        for batch in taken:
+            assert_block_offsets(batch)
+            for got in batch.per_alpha(tables):
+                expected = heap.next_batch()
+                assert (got.alpha, got.beta) == (expected.alpha, expected.beta)
+                assert np.array_equal(got.left_pairs[:], expected.left_pairs[:])
+                assert np.array_equal(got.right_pairs[:], expected.right_pairs[:])
+                count += 1
+        if batches is None:
+            assert heap.next_batch() is None and count > 100
+        # a wide interval's blocks are one per fixed run, and each row
+        # holds several alphas' pairs on average
+        rows = sum(int(b.left_pairs.fixed_len.sum()) for b in wide)
+        assert sum(b.n_left for b in wide) > 2 * rows
 
 
 # few distinct values, so sides tie and share values, including both
@@ -840,9 +861,17 @@ class TestArrayKernels:
 
 def _batch_sizes(batch) -> tuple[int, int]:
     """A batch's pairs, both sides, and those of its first alpha."""
-    _, left, right = batch.spans()
-    per_alpha = np.diff(left + right)
-    return batch.n_left + batch.n_right, int(per_alpha[0])
+    first = batch.left_counts[0] + batch.right_counts[0]
+    return batch.n_left + batch.n_right, int(first)
+
+
+def _span_pairs(tables, target: int, a0: int, a1: int) -> int:
+    """Index pairs, both sides, whose alpha lies in [a0, a1], counted by
+    brute force over every pair of table entries."""
+    ta, tb, tc, td = tables
+    left = (ta.weights[:, None] + tb.weights[None, :]).ravel().tolist()
+    right = (tc.weights[:, None] + td.weights[None, :]).ravel().tolist()
+    return sum(a0 <= w <= a1 for w in left) + sum(a0 <= target - w <= a1 for w in right)
 
 
 class TestPairBudgetedGroups:
@@ -874,23 +903,36 @@ class TestPairBudgetedGroups:
         for batch in batches:
             assert_block_offsets(batch)
         # split per alpha, the groups are the heap's stream
-        per_alpha = [p for b in batches for p in b.per_alpha()]
+        per_alpha = [p for b in batches for p in b.per_alpha(tables)]
         expected = batch_stream(PairSumEnumerator(tables, target))
         assert batch_stream_of(per_alpha) == expected
         # every batch was emitted by one match, in stream order
-        emitted = [b for *_, match in matches for b in match]
+        emitted = [b for _, _, match, _ in matches for b in match]
         assert len(emitted) == len(batches)
         assert all(a is b for a, b in zip(emitted, batches))
-        for lo, hi, match in matches:
+        for lo, hi, match, dense in matches:
             # no batch spans two matches: its alphas lie in its buffer's
+            # or its dense window's
             assert all(lo <= b.alphas[0] and b.alphas[-1] <= hi for b in match)
             sizes = [_batch_sizes(b) for b in match]
             for batch, (pairs, _) in zip(match, sizes):
                 assert pairs <= cap or len(batch.alphas) == 1
+                # each interval holds every pair of its span, no more
+                lows, highs, _, _ = batch.spans()
+                assert pairs == sum(
+                    _span_pairs(tables, target, a0, a1)
+                    for a0, a1 in zip(lows.tolist(), highs.tolist())
+                )
             # maximal within its match: the next batch's first alpha
-            # would overflow each group
-            for (pairs, _), (_, first) in zip(sizes, sizes[1:]):
-                assert pairs + first > cap
+            # would overflow each group, or each interval's span
+            for batch, nxt, (pairs, _), (_, first) in zip(
+                match, match[1:], sizes, sizes[1:]
+            ):
+                if dense:
+                    span = (int(batch.alphas[0]), int(nxt.alphas[0]))
+                    assert _span_pairs(tables, target, *span) > cap
+                else:
+                    assert pairs + first > cap
 
     def test_a_group_crosses_window_boundaries(self, monkeypatch):
         # windows of at most 7 distinct-weight pairs per side, groups of

@@ -36,7 +36,7 @@ from marketsplit.solver import (
 )
 from marketsplit.validate import validate_chunked
 
-from conftest import seeded_instance, small_instances
+from conftest import seeded_instance, small_instances, twin_instance
 
 
 class TestSolveBasics:
@@ -292,7 +292,7 @@ def _per_alpha_first(inst: MspInstance, reduce_rows: int):
     """First-mode reference: the heap's batches, one alpha and one
     `validate_chunked` call each, up to the first solution.  Returns the
     solutions, batches, max_batch_pairs and progress a solve reports."""
-    work = surrogate_reduce(inst, reduce_rows)
+    work = surrogate_reduce(inst, reduce_rows) if reduce_rows > 1 else inst
     tables = build_quarter_tables(work)
     target = int(work.d[0])
     enum = PairSumEnumerator(tables, target)
@@ -352,6 +352,34 @@ class TestWindowBatchesThroughSolver:
         assert calls < batches  # groups were validated whole
         assert all(pos < size - 1 for pos, size in places)
         assert any(0 < pos for pos, _ in places)  # mid-group
+
+
+class TestWideIntervalsThroughSolver:
+    """Unreduced small-coefficient sweeps validate dense windows as wide
+    alpha intervals; first mode must still return the per-alpha loop's
+    vector."""
+
+    @pytest.mark.parametrize("seed", [4, 20, 34, 43])
+    def test_first_mode_with_two_solutions_at_smallest_alpha(self, seed):
+        # the smallest solving alpha holds two solutions (columns 0 and 6
+        # swapped), inside a batch of one wide interval in which a larger
+        # alpha's solution is found first
+        inst = twin_instance(seed)
+        tables = build_quarter_tables(inst)
+        cols = tables[0].var_indices + tables[1].var_indices
+        alphas = sorted(
+            sum(int(inst.a[0, c]) for c in cols if x[c]) for x in brute_force_all(inst)
+        )
+        assert alphas.count(alphas[0]) >= 2
+        enum = SumsetEnumerator(tables, int(inst.d[0]))
+        batch = next(b for b in iter(enum.next_batch, None) if alphas[0] in b.alphas)
+        assert len(batch.alpha_at) == 2 and len(batch.alphas) > 1
+        expected = _per_alpha_first(inst, 1)
+        for depth, workers in ((1, 1), (4, 2)):
+            cfg = SolverConfig(mode="first", pipeline_depth=depth, worker_count=workers)
+            result = solve(inst, cfg)
+            s = result.stats
+            assert (result.solutions, s.batches, s.max_batch_pairs, s.progress) == expected
 
 
 class TestBackendsThroughSolver:

@@ -44,7 +44,7 @@ from marketsplit.validate import (
     validate_chunked,
 )
 
-from conftest import drain_all_batches, seeded_instance
+from conftest import drain_all_batches, seeded_instance, twin_instance
 
 
 def reference_hash(values):
@@ -590,7 +590,7 @@ class TestChunking:
         # and the per-block checks see as many blocks as pairs; for
         # one-pair blocks the block offsets are the pair edges
         inst, tables, batch = self._largest_m6_batch()
-        _, l_edges, r_edges = batch.spans()
+        _, _, l_edges, r_edges = batch.spans()
         batch = dataclasses.replace(
             batch,
             left_pairs=RunBlocks.from_pairs(batch.left_pairs[:]),
@@ -637,6 +637,24 @@ def _window_batches(inst, window=None):
     return tables, batches
 
 
+def _as_one_alpha_intervals(batch, tables):
+    """The common alphas' pairs of a batch as one one-alpha interval per
+    alpha, laid out as a sparse match lays them out."""
+    parts = batch.per_alpha(tables)
+    sides, offsets = [], []
+    for name in ("left_pairs", "right_pairs"):
+        blocks = [getattr(p, name) for p in parts]
+        sides.append(RunBlocks(*(
+            np.concatenate([getattr(b, f) for b in blocks])
+            for f in ("inner_start", "inner_len", "fixed_start", "fixed_len")
+        )))
+        offsets.append(np.cumsum([0] + [len(b.inner_start) for b in blocks]))
+    return CandidateBatch(
+        batch.target, batch.alphas, *sides, *offsets,
+        np.arange(len(batch.alphas) + 1), batch.left_counts, batch.right_counts,
+    )
+
+
 def _reduced_instance(seed, m, n, k):
     inst = seeded_instance(seed, m=m, n=n, k=k)
     return surrogate_reduce(inst, m) if m > 1 else inst
@@ -679,7 +697,7 @@ class TestWindowBatches:
                 for batch in batches:
                     got = validate_chunked(batch, tables, inst, chunk, backend, stats=whole)
                     expected = []
-                    for part in batch.per_alpha():
+                    for part in batch.per_alpha(tables):
                         expected += validate_chunked(
                             part, tables, inst, chunk, backend, stats=parts
                         )
@@ -688,9 +706,18 @@ class TestWindowBatches:
                     else:
                         assert sorted(got) == sorted(expected)
                 assert whole.calls == len(batches)
-                assert parts.calls == sum(len(b.per_alpha()) for b in batches)
-                whole.calls = parts.calls = 0
-                assert whole == parts, (chunk, backend.name)
+                assert parts.calls == sum(len(b.alphas) for b in batches)
+                # the batches' pairs are validated (a chunked wide
+                # interval's common alphas' only), the parts' common ones
+                counted = [_counted(b, chunk) for b in batches]
+                assert whole.candidates_left == sum(c[0] for c in counted)
+                assert whole.candidates_right == sum(c[1] for c in counted)
+                assert parts.candidates_left == sum(b.left_counts.sum() for b in batches)
+                assert parts.candidates_right == sum(b.right_counts.sum() for b in batches)
+                ignored = dict(calls=0, candidates_left=0, candidates_right=0)
+                assert dataclasses.replace(whole, **ignored) == dataclasses.replace(
+                    parts, **ignored
+                ), (chunk, backend.name)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_right_chunks_stay_inside_partner_alphas(self, chunk):
@@ -710,11 +737,13 @@ class TestWindowBatches:
                 return super().right_hashes(tables, side, lo, hi, d)
 
         # small weights: alphas of several pairs each, in one group
+        # (the widest interval, as one one-alpha interval per alpha)
         inst = seeded_instance(1, m=2, n=16, k=20)
         tables, batches = _window_batches(inst)
         batch = max(batches, key=lambda b: len(b.alphas))
+        batch = _as_one_alpha_intervals(batch, tables)
         assert len(batch.alphas) > 10 and batch.n_right > 2 * len(batch.alphas)
-        _, l_edges, r_edges = batch.spans()
+        _, _, l_edges, r_edges = batch.spans()
 
         def alphas(edges, lo, hi):
             return set(np.searchsorted(edges, np.arange(lo, hi), side="right") - 1)
@@ -755,21 +784,29 @@ class TestWindowBatches:
         tables, batches = _window_batches(inst)
         field = "left_pairs" if side == "left" else "right_pairs"
         corrupt = []
-        # block corruptions on a group and on its first alpha alone
-        for batch in (batches[0], batches[0].per_alpha()[0]):
+        # block corruptions on a wide interval and on its first alpha alone
+        wide, one = batches[0], batches[0].per_alpha(tables)[0]
+        assert len(wide.alphas) > 1
+        for batch in (wide, one):
             validate_chunked(batch, tables, inst, 7, backend)  # intact: no error
             blocks = getattr(batch, field)
             inner = tables[0] if side == "left" else tables[2]
             s0, length = int(blocks.inner_start[0]), int(blocks.inner_len[0])
+            rows = int(blocks.fixed_len[0])
             for moved in (
-                # the inner run grown past its run's end
+                # the inner run grown past its run's end, or its interval's
                 _moved(blocks, "inner_len", 0, length + 1),
                 # the inner run moved into another run of its table
                 _moved(blocks, "inner_start", 0, 0 if s0 else int(inner.run_end[0])),
-                # the fixed run moved to the next fixed index
-                _moved(blocks, "fixed_start", 0, int(blocks.fixed_start[0]) + 1),
+                # the fixed run grown into the next fixed run
+                _moved(blocks, "fixed_len", 0, rows + 1),
             ):
                 corrupt.append(dataclasses.replace(batch, **{field: moved}))
+        # the fixed run moved to the next fixed index: one alpha's pairs
+        # change weight (in a wide interval they may stay inside it)
+        blocks = getattr(one, field)
+        moved = _moved(blocks, "fixed_start", 0, int(blocks.fixed_start[0]) + 1)
+        corrupt.append(dataclasses.replace(one, **{field: moved}))
         for bad in corrupt:
             with pytest.raises(AssertionError, match=side):
                 validate_chunked(bad, tables, inst, 7, backend)
@@ -782,7 +819,7 @@ class TestWindowBatches:
         zero_hashes(monkeypatch)
         tables, batches = _window_batches(inst)
         per_alpha = sum(
-            p.n_left * p.n_right for b in batches for p in b.per_alpha()
+            p.n_left * p.n_right for b in batches for p in b.per_alpha(tables)
         )
         assert any(len(b.alphas) > 1 for b in batches)
         for backend in ALL_BACKENDS:
@@ -793,6 +830,167 @@ class TestWindowBatches:
             assert sorted(found) == brute_force_all(inst), backend.name
             assert stats.exact_hits == len(found)
             assert stats.hash_hits > per_alpha  # cross-alpha pairs did hit
+
+
+def _counted(batch, chunk: int) -> tuple[int, int]:
+    """The pairs per side `validate_chunked` counts for a batch: all of
+    them, unless a wide interval's left side needs several chunks and is
+    split per alpha, which keeps the common alphas' pairs only."""
+    if batch.n_left > chunk and len(batch.alpha_at) <= len(batch.alphas):
+        return int(batch.left_counts.sum()), int(batch.right_counts.sum())
+    return batch.n_left, batch.n_right
+
+
+def _wide_batches(batches) -> list:
+    """The batches of one interval holding several alphas: dense windows'."""
+    return [b for b in batches if len(b.alpha_at) == 2 and len(b.alphas) > 1]
+
+
+def _hand_built(tables, target: int, bounds) -> CandidateBatch:
+    """A batch of the alpha intervals [a0, a1] in `bounds`, built by
+    brute force over the tables: per interval and side, one one-row block
+    per fixed entry that has pairs in it, in table order."""
+    ta, tb, tc, td = tables
+    sides = [(ta, tb, None), (tc, td, target)]
+    blocks = [[], []]
+    at = [[0], [0]]
+    alphas, alpha_at, counts = [], [0], [[], []]
+    for a0, a1 in bounds:
+        per_alpha = [{}, {}]
+        for s, (t_in, t_fx, d0) in enumerate(sides):
+            for f, wf in enumerate(t_fx.weights.tolist()):
+                hits = []
+                for i, wi in enumerate(t_in.weights.tolist()):
+                    alpha = wi + wf if d0 is None else d0 - wi - wf
+                    if a0 <= alpha <= a1:
+                        hits.append(i)
+                        per_alpha[s][alpha] = per_alpha[s].get(alpha, 0) + 1
+                if hits:
+                    assert hits == list(range(hits[0], hits[-1] + 1))
+                    blocks[s].append((hits[0], len(hits), f, 1))
+            at[s].append(len(blocks[s]))
+        common = sorted(set(per_alpha[0]) & set(per_alpha[1]))
+        alphas += common
+        alpha_at.append(len(alphas))
+        for s in (0, 1):
+            counts[s] += [per_alpha[s][a] for a in common]
+    ints = np.int64
+    return CandidateBatch(
+        target, np.array(alphas, dtype=np.uint64),
+        *(RunBlocks(*(np.array(col, dtype=ints) for col in zip(*side))) for side in blocks),
+        *(np.array(a, dtype=ints) for a in at), np.array(alpha_at, dtype=ints),
+        *(np.array(c, dtype=ints) for c in counts),
+    )
+
+
+class TestIntervalBatches:
+    """Dense windows' batches: one alpha interval of long rows, holding
+    pairs of alphas only one side has; and hand-built batches of several
+    wide intervals."""
+
+    @staticmethod
+    def _instance(seed=1):
+        inst = twin_instance(seed)
+        tables, batches = _window_batches(inst)
+        assert _wide_batches(batches)
+        return inst, tables, batches
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
+    def test_block_past_interval_or_across_fixed_run_raises(self, backend):
+        inst, tables, batches = self._instance()
+        target = int(inst.d[0])
+        wide = max(_wide_batches(batches), key=lambda b: len(b.alphas))
+        alphas = wide.alphas.tolist()
+        # the wide interval cut in two, by hand: the same pairs and answers
+        half = len(alphas) // 2
+        bounds = [(alphas[0], alphas[half - 1]), (alphas[half], alphas[-1])]
+        two = _hand_built(tables, target, bounds)
+        assert two.alphas.tolist() == alphas and len(two.alpha_at) == 3
+        assert (two.n_left, two.n_right) <= (wide.n_left, wide.n_right)
+        for chunk in (1, 7, 10**9):
+            assert validate_chunked(two, tables, inst, chunk, backend) == validate_chunked(
+                wide, tables, inst, chunk, backend
+            )
+        bad = []
+        for side in ("left", "right"):
+            at, field = f"{side}_at", f"{side}_pairs"
+            # the first interval's last block handed to the second, and
+            # the second's first block to the first: each runs past the
+            # interval it is now in
+            for delta in (-1, 1):
+                bad.append((side, _corrupt(two, at, 1, delta)))
+            blocks = getattr(two, field)
+            # a row grown by one inner entry past its interval, or past
+            # its table; a block grown into the next fixed run
+            b = int(np.argmax(blocks.inner_len))
+            grown = _moved(blocks, "inner_len", b, int(blocks.inner_len[b]) + 1)
+            bad.append((side, dataclasses.replace(two, **{field: grown})))
+            t_fx = tables[1] if side == "left" else tables[3]
+            f = int(blocks.fixed_start[b])
+            rows = _moved(blocks, "fixed_len", b, int(t_fx.run_end[f]) - f + 1)
+            bad.append((side, dataclasses.replace(two, **{field: rows})))
+        # the interval bounds moved inward, off the blocks' extreme
+        # alphas: both sides' blocks run past them, and which side is
+        # checked first depends on the chunks
+        for keep in (slice(1, None), slice(None, -1)):
+            shrunk = dataclasses.replace(
+                wide, alphas=wide.alphas[keep], alpha_at=np.array([0, len(alphas) - 1]),
+                left_counts=wide.left_counts[keep], right_counts=wide.right_counts[keep],
+            )
+            bad.append(("(left|right)", shrunk))
+        for side, batch in bad:
+            with pytest.raises(AssertionError, match=f"{side} run block"):
+                validate_chunked(batch, tables, inst, 7, backend)
+
+    @pytest.mark.parametrize("seed", [4, 34])
+    def test_chunk_sizes_give_equal_results(self, seed):
+        # chunks of 1 and 7 pairs cut a wide interval, split per alpha;
+        # the answers, their alpha order and every counter but the pairs
+        # counted stay those of one chunk pair, whose order is the
+        # per-alpha parts' (these seeds' wide intervals find a larger
+        # alpha's solution first)
+        inst, tables, batches = self._instance(seed)
+        cols = tables[0].var_indices + tables[1].var_indices
+        runs = []
+        for chunk in (1, 7, default_chunk_pairs(inst.m)):
+            stats, found = ValidationStats(), []
+            for batch in batches:
+                got = validate_chunked(batch, tables, inst, chunk, stats=stats)
+                weights = [sum(int(inst.a[0, c]) for c in cols if x[c]) for x in got]
+                assert weights == sorted(weights)
+                found += got
+            counted = [_counted(b, chunk) for b in batches]
+            assert stats.candidates_left == sum(c[0] for c in counted)
+            assert stats.candidates_right == sum(c[1] for c in counted)
+            stats.candidates_left = stats.candidates_right = 0
+            runs.append((sorted(found), stats))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == brute_force_all(inst)
+        assert sum(b.n_left for b in batches) > sum(_counted(b, 1)[0] for b in batches)
+        for batch in _wide_batches(batches):
+            expected = []
+            for part in batch.per_alpha(tables):
+                expected += validate_chunked(part, tables, inst, 10**9)
+            assert validate_chunked(batch, tables, inst, 10**9) == expected
+
+    def test_forced_collisions_rejected_in_wide_interval(self, monkeypatch):
+        # zero multipliers: every left pair of a wide interval hits every
+        # right pair, of every alpha in it, including alphas that only
+        # one side holds; exact confirmation alone keeps the solutions
+        zero_hashes(monkeypatch)
+        inst, tables, batches = self._instance()
+        wide = _wide_batches(batches)
+        assert any(
+            b.n_left > b.left_counts.sum() or b.n_right > b.right_counts.sum() for b in wide
+        )
+        for backend in ALL_BACKENDS:
+            stats, found = ValidationStats(), []
+            for batch in batches:
+                found += validate_chunked(batch, tables, inst, 10**9, backend, stats=stats)
+            assert sorted(found) == brute_force_all(inst), backend.name
+            assert stats.exact_hits == len(found)
+            # every pair of one interval joins every right pair of it
+            assert stats.hash_hits == sum(b.n_left * b.n_right for b in batches)
 
 
 class TestMassiveMultiplicity:

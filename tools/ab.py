@@ -27,7 +27,11 @@ tree's median and quartiles of the round times and its median minor
 page faults per round (`resource.getrusage`; a change in how long large
 arrays live can move wall time through the allocator returning memory
 to the system and faulting it back in), and the median and
-interquartile range of the per-round ratios change / parent.
+interquartile range of the per-round ratios change / parent.  A last,
+untimed pass solves each seed once per tree under `tracemalloc` and
+reports each tree's traced peak per seed: the resident-set peak that
+perfbench reports cannot be split between two trees in one process,
+and it also moves with how much freed memory the allocator keeps.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -90,6 +95,20 @@ class Tree:
         seconds = time.perf_counter() - t0
         self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
         return seconds, results
+
+    def traced_peaks(self) -> list[int]:
+        """Per instance, the peak bytes `tracemalloc` traces while one
+        solve runs (untimed: tracing slows every allocation)."""
+        peaks = []
+        for inst in self.instances:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                self.ms.solve(inst, self.cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -214,6 +233,13 @@ def main(argv=None) -> int:
         f" ratio: median {q2:.3f}  IQR {q3 - q1:.3f}  (quartiles {q1:.3f}, {q3:.3f}); "
         f"change faster in {wins}/{len(ratios)} rounds"
     )
+    peaks = [
+        f"{tree.label} " + ", ".join(
+            f"s{seed} {peak / 2**20:.2f}" for seed, peak in zip(seeds, tree.traced_peaks())
+        )
+        for tree in (parent, change)
+    ]
+    print(f"traced peak per seed (MB, untimed tracemalloc pass): {'; '.join(peaks)}")
     return 0
 
 
