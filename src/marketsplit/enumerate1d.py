@@ -25,46 +25,45 @@ d_1 - (uC + uD).  Per window, a vectorized `searchsorted` lists the
 distinct-weight pairs whose sums fall in it.  Windows are cut so
 neither side holds more than 4 * 2^(n/4) distinct-weight pairs (one
 alpha never needs more than min(|uA|, |uB|)) and hi - lo < 2^(64 -
-that cap's bit length).  A window spanning at most the cap's count of
-alphas counts each side's index pairs per alpha exactly (a `bincount`
-per side), so it keeps exactly the sums of its common alphas, those
-both sides hold; a wider one keeps the sums that `_bitmap_survivors`,
-the filter the validator's hash join also runs, passes: those whose low
-bits the other side also holds.
+that cap's bit length).  The window's width alone picks its route.
 
-A narrow window whose kept sums fill more than half the cap on either
-side is dense, and is cut at once into interval batches: each the
-longest run of consecutive common alphas whose span holds at most
-`batch_pairs` = max(window cap, `BATCH_PAIRS`) index pairs on both
-sides together, or one common alpha over that alone.  An interval's
-blocks are one per fixed run, with the inner entries whose sums lie in
-its span: one contiguous range, read from the sweep's frontiers
-(`_SumsetSide.count_le`) at the span's ends.  Nothing is sorted or
-matched, and the rows are long; the pairs of alphas in the span that
-only one side holds ride along and can never match.
+A narrow window, spanning at most the cap's count of alphas, counts
+each side's index pairs per alpha exactly (a `bincount` per side), so
+it knows its common alphas, those both sides hold, and is cut at once
+into interval batches: each the longest run of consecutive common
+alphas whose span holds at most `batch_pairs` = max(window cap,
+`BATCH_PAIRS`) index pairs on both sides together, or one common alpha
+over that alone.  An interval's blocks are one per fixed run, with the
+inner entries whose sums lie in its span: one contiguous range, read
+from the sweep's frontiers (`_SumsetSide.count_le`) at the span's ends.
+Nothing is sorted or matched, and the rows are long; the pairs of
+alphas in the span that only one side holds ride along and can never
+match.
 
-The kept sums of other windows are matched once per buffer, not once
-per window: each window appends its sums, as offsets from the buffer's
-first lo, and their runs.  The buffer is matched before a window's sums
-would take it past the cap on either side, before a dense window,
-before a window whose hi would break the clamp on hi - lo counted from
-the buffer's first lo, and when the sweep ends; so it holds at most the
-cap per side beside the current window, and space stays O(4 *
-2^(n/4)).  A match packs each side's sums as keys ((sum - lo) << s) |
-position (s: the larger side's position bits, at most the cap's bit
-length, so the clamp keeps every key exact) and sorts them once.  The
-values both sides share are the alphas, and each alpha's positions are
-one range of its side's keys, already fixed-major; they map back to the
-pairs' runs through the positions.  Each match cuts its alphas,
-ascending, into batches of one-alpha intervals under the same budget:
-each batch the longest run of consecutive alphas holding at most
-`batch_pairs` pairs, or one alpha over that alone.  A batch may span
-several windows of one buffer but never two matches, so a sweep
-validates each buffer's alphas before it cuts more than one window past
-them.  Its sides are `RunBlocks` whose fields are views of the match's.
-The heap emits the same format with one alpha per batch; split per
-alpha (`CandidateBatch.per_alpha`), both enumerators give the same
-stream.
+A wide window (with the default cap, only large, surrogate weights
+make one) keeps the sums that `_bitmap_survivors`, the filter the
+validator's hash join also runs, passes: those whose low bits the other
+side also holds.  Wide windows' kept sums are matched once per buffer, not once per window:
+each window appends its sums, as offsets from the buffer's first lo,
+and their runs.  The buffer is matched before a window's sums would
+take it past the cap on either side, before a narrow window's
+intervals, before a window whose hi would break the clamp on hi - lo
+counted from the buffer's first lo, and when the sweep ends; so it
+holds at most the cap per side beside the current window, and space
+stays O(4 * 2^(n/4)).  A match packs each side's sums as keys ((sum -
+lo) << s) | position (s: the larger side's position bits, at most the
+cap's bit length, so the clamp keeps every key exact) and sorts them
+once.  The values both sides share are the alphas, and each alpha's
+positions are one range of its side's keys, already fixed-major; they
+map back to the pairs' runs through the positions.  Each match cuts
+its alphas, ascending, into batches of one-alpha intervals under the
+same budget and by the same rule as a narrow window's intervals.  A
+batch may span several windows of one buffer but never two matches,
+so a sweep validates each buffer's alphas before it cuts more than one
+window past them.  Its sides are `RunBlocks` whose fields are views of
+the match's.  The heap emits the same format with one alpha per batch;
+split per alpha (`CandidateBatch.per_alpha`), both enumerators give
+the same stream.
 
 `PairSumEnumerator` is the paper's heap formulation, kept as the
 reference the sumset sweep is tested against.  H1 is a min-heap holding
@@ -294,9 +293,6 @@ class RunBlocks:
         inner, lens, fixed = self.rows(lo, hi)
         return np.column_stack((_ranges(inner, lens), fixed.repeat(lens)))
 
-    def __iter__(self):
-        return iter(self[:])
-
     def block_range(self, lo: int, hi: int) -> tuple[int, int]:
         """Blocks b0..b1-1, the ones holding pairs lo..hi-1 (lo < hi)."""
         starts = self.starts
@@ -428,16 +424,12 @@ class CandidateBatch:
     def n_right(self) -> int:
         return len(self.right_pairs)
 
-    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(lows, highs, left pair edges, right pair edges): interval k
-        spans the alphas lows[k]..highs[k] and holds the pairs
-        `left_pairs[edges[k]:edges[k+1]]`, likewise on the right."""
-        return self._spans
-
     @cached_property
-    def _spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The intervals' bounds and both sides' pair edges, gathered once
-        per batch; one-alpha intervals' bounds are `alphas` itself."""
+    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lows, highs, left pair edges, right pair edges), gathered once
+        per batch: interval k spans the alphas lows[k]..highs[k] and holds
+        the pairs `left_pairs[edges[k]:edges[k+1]]`, likewise on the
+        right.  One-alpha intervals' bounds are `alphas` itself."""
         at, bounds = self.alpha_at, (self.alphas, self.alphas)
         if len(at) <= len(self.alphas):  # some interval holds several alphas
             bounds = (self.alphas[at[:-1]], self.alphas[at[1:] - 1])
@@ -756,11 +748,12 @@ class SumsetEnumerator:
     caps the distinct-weight pairs either side holds per window
     (default: the total table size, the four-table space bound);
     `peak_window_pairs` is the most either side held, and `windows`
-    counts the windows cut.  A dense window becomes interval batches at
-    once (`_intervals`); `_buffer` holds other windows' kept sums until
-    `_flush` matches them and cuts their alphas into groups of one-alpha
-    intervals (see the module docstring).  Both append to `_pending`,
-    under one budget: at most `batch_pairs` = max(`window_pairs`,
+    counts the windows cut.  A narrow window, hi - lo < `window_pairs`,
+    becomes interval batches at once (`_intervals`); `_buffer` holds
+    wide windows' kept sums until `_flush` matches them and cuts their
+    alphas into groups of one-alpha intervals (see the module
+    docstring).  Both append to `_pending` and cut their alphas with one
+    loop (`_budget_cuts`): at most `batch_pairs` = max(`window_pairs`,
     `BATCH_PAIRS`) pairs on both sides together per batch, or one alpha
     over that alone.
     """
@@ -787,7 +780,7 @@ class SumsetEnumerator:
         self._rcount = self._right.count_le(self.target - self._lo)
         self._l_total, self._r_total = int(self._lcount.sum()), int(self._rcount.sum())
         self._pending: deque[CandidateBatch] = deque()
-        # sparse windows' survivors not yet matched: per window, each
+        # wide windows' survivors not yet matched: per window, each
         # side's (sum - _buffer_lo, x, y); the windows span
         # _buffer_lo.._buffer_hi, and `_buffered` counts the survivors
         # per side
@@ -854,8 +847,8 @@ class SumsetEnumerator:
         return low, probe
 
     def _sweep_window(self) -> None:
-        """Cut the next window and filter its sums: cut a dense window
-        into interval batches at once, buffer a sparse one's survivors
+        """Cut the next window and filter its sums: cut a narrow window
+        into interval batches at once, buffer a wide one's survivors
         (matching the buffer first if they would overflow it)."""
         hi, (held, lcount, rcount, l_total, r_total) = self._cut()
         self.windows += 1
@@ -868,31 +861,28 @@ class SumsetEnumerator:
         l_val -= np.uint64(lo)
         np.subtract(np.uint64(self.target - lo), r_val, out=r_val)
         cap = self.window_pairs
-        counts = None
         if hi - lo < cap:  # narrow: each alpha's pairs counted exactly
             counts = (
                 self._left.pair_counts(l_val, l_x, l_y, hi - lo + 1),
                 self._right.pair_counts(r_val, r_x, r_y, hi - lo + 1),
             )
-            common = (counts[0] > 0) & (counts[1] > 0)
-            l_pos = np.flatnonzero(common[l_val.view(np.int64)])
-            r_pos = np.flatnonzero(common[r_val.view(np.int64)])
-        else:  # only sums whose low bits the other side also holds can match
-            l_pos, r_pos = _bitmap_survivors(l_val, r_val)
+            common = np.flatnonzero((counts[0] > 0) & (counts[1] > 0))
+            if len(common):
+                if self._buffer:
+                    self._flush()
+                self._intervals(lo, hi, (l_lo, lcount, rcount, r_hi), counts, common)
+            return
+        # only sums whose low bits the other side also holds can match
+        l_pos, r_pos = _bitmap_survivors(l_val, r_val)
         if not len(l_pos):
             return
-        dense = counts is not None and 2 * max(len(l_pos), len(r_pos)) > cap
         n_left, n_right = self._buffered
         if self._buffer and (
-            dense
-            or max(n_left + len(l_pos), n_right + len(r_pos)) > cap
+            max(n_left + len(l_pos), n_right + len(r_pos)) > cap
             or hi - self._buffer_lo >= 1 << (64 - cap.bit_length())
         ):
             self._flush()
             n_left = n_right = 0
-        if dense:
-            self._intervals(lo, hi, (l_lo, lcount, rcount, r_hi), counts, common)
-            return
         if not self._buffer:
             self._buffer_lo = lo
         l_val, r_val = l_val[l_pos], r_val[r_pos]
@@ -904,19 +894,28 @@ class SumsetEnumerator:
         self._buffered = (n_left + len(l_pos), n_right + len(r_pos))
         self._buffer_hi = hi
 
+    def _budget_cuts(self, before: np.ndarray, through: np.ndarray):
+        """Cut alphas 0..n-1, ascending, into batches i..j-1: each the
+        longest run whose pairs, through[j - 1] - before[i], are at most
+        `batch_pairs`, or alpha i alone.  `before[i]` and `through[i]`
+        are the running pair totals before and through alpha i's span."""
+        n, i = len(before), 0
+        while i < n:
+            j = int(through.searchsorted(before[i] + self.batch_pairs, side="right"))
+            j = max(j, i + 1)
+            yield i, j
+            i = j
+
     def _intervals(
         self, lo: int, hi: int, frontiers: tuple, counts: tuple, common: np.ndarray
     ) -> None:
-        """Cut a dense window [lo, hi] into interval batches: each the
-        longest run of consecutive common alphas whose span holds at most
-        `batch_pairs` pairs on both sides together, or one common alpha
-        over that alone.  `counts` holds each side's pairs per alpha - lo,
-        `common` marks the alphas both hold; each interval's blocks come from the frontiers at its ends, of
-        which `frontiers` holds the window's (left at lo - 1 and hi, right
-        at d_1 - hi - 1 and d_1 - lo)."""
-        common = np.flatnonzero(common)
+        """Cut a narrow window [lo, hi] into interval batches, its common
+        alphas cut by `_budget_cuts` over the pairs of their spans.
+        `counts` holds each side's pairs per alpha - lo, `common` the
+        alphas - lo both hold, ascending; each interval's blocks come from
+        the frontiers at its ends, of which `frontiers` holds the window's
+        (left at lo - 1 and hi, right at d_1 - hi - 1 and d_1 - lo)."""
         total = _offsets(counts[0] + counts[1])
-        before, through = total[common], total[common + 1]
         l_count, r_count = (c[common] for c in counts)
         alphas = common.astype(np.uint64) + np.uint64(lo)
         target = self.target
@@ -932,10 +931,7 @@ class SumsetEnumerator:
                     known[side][v] = side.count_le(v)
             return side.blocks(known[side][v0], known[side][v1])
 
-        n, i = len(common), 0
-        while i < n:
-            j = int(through.searchsorted(before[i] + self.batch_pairs, side="right"))
-            j = max(j, i + 1)
+        for i, j in self._budget_cuts(total[common], total[common + 1]):
             a0, a1 = int(alphas[i]), int(alphas[j - 1])
             left_blocks = blocks(self._left, a0 - 1, a1)
             right_blocks = blocks(self._right, target - a1 - 1, target - a0)
@@ -945,12 +941,11 @@ class SumsetEnumerator:
                 np.array([0, len(right_blocks.inner_start)], dtype=np.int64),
                 np.array([0, j - i], dtype=np.int64), l_count[i:j], r_count[i:j],
             ))
-            i = j
 
     def _flush(self) -> None:
-        """Match the buffer and cut its alphas into batches of one-alpha
-        intervals: one part per side, the buffered windows' (sum -
-        _buffer_lo, x, y) joined."""
+        """Match the buffer of wide windows' survivors and cut its alphas
+        (`_budget_cuts`) into batches of one-alpha intervals: one part per
+        side, the buffered windows' (sum - _buffer_lo, x, y) joined."""
         parts, self._buffer, self._buffered = self._buffer, [], (0, 0)
         lo, hi = self._buffer_lo, self._buffer_hi
         l_key, l_x, l_y, r_key, r_x, r_y = (
@@ -978,11 +973,7 @@ class SumsetEnumerator:
         del r_key, r_alpha, r_x, r_y
         common += np.uint64(lo)
         total = _offsets(l_pairs + r_pairs)
-        n, i = len(common), 0
-        while i < n:
-            # alphas i..j-1: the most that fit the budget, or alpha i alone
-            j = int(total.searchsorted(total[i] + self.batch_pairs, side="right")) - 1
-            j = max(j, i + 1)
+        for i, j in self._budget_cuts(total[:-1], total[1:]):
             lb, le, rb, re = l_at[i], l_at[j], r_at[i], r_at[j]
             self._pending.append(CandidateBatch(
                 self.target, common[i:j],
@@ -991,7 +982,6 @@ class SumsetEnumerator:
                 l_at[i : j + 1] - lb, r_at[i : j + 1] - rb,
                 np.arange(j - i + 1), l_pairs[i:j], r_pairs[i:j],
             ))
-            i = j
 
 
 def assemble_solution(

@@ -23,14 +23,14 @@ that wrapped vector, which no left residual can equal, so no filtering
 pass is needed.
 
 Coordinate 0 of every residual must equal the pair's alpha.  It is
-checked once per block, not per pair: the block's fixed range must lie
-inside one equal-weight run of its table, and the weights of its first
-and last pairs (left: the weight; right: d_1 minus it) must lie in the
-block's alpha interval.  Inner weights are monotone along a block, so
-then every pair's does; for a one-alpha interval this says every pair
-has that alpha.  The blocks of a chunk are checked before the chunk is
-first joined, so the check's temporaries scale with the chunk, not with
-the batch.
+checked once per block, not per pair, by one rule for every block: its
+fixed range must lie inside one equal-weight run of its table, its inner
+range inside its table, and the weights of its first and last pairs
+(left: the weight; right: d_1 minus it) in the block's alpha interval.
+Inner weights are monotone along a block, so then every pair's does;
+for a one-alpha interval this says every pair has that alpha.  The
+blocks of a chunk are checked before the chunk is first joined, so the
+check's temporaries scale with the chunk, not with the batch.
 
 `join_hashes` finds the equal-hash pairs.  It first runs the two-way
 bitmap filter it shares with the enumerator's window sweep
@@ -404,7 +404,7 @@ def validate_chunked(
         batch = batch.split(tables)
         l_check, r_check = _BlockCheck.of(batch, tables, d)
     left, right = batch.left_pairs, batch.right_pairs
-    _, _, l_edges, r_edges = batch.spans()
+    _, _, l_edges, r_edges = batch.spans
     n_left = int(l_edges[-1])
     stats.calls += 1
 
@@ -462,7 +462,7 @@ class _BlockCheck:
     @classmethod
     def of(cls, batch: CandidateBatch, tables, d: np.ndarray) -> tuple["_BlockCheck", ...]:
         """The checks of a batch's left and right sides."""
-        lows, highs, _, _ = batch.spans()
+        lows, highs, _, _ = batch.spans
         return (
             cls(batch.left_pairs, tables[0], tables[1], lows, highs, batch.left_at, "left"),
             cls(batch.right_pairs, tables[2], tables[3], lows, highs, batch.right_at,
@@ -488,35 +488,24 @@ class _BlockCheck:
             low = low[k0:k1].repeat(blocks)
             high = low if self.highs is self.lows else high[k0:k1].repeat(blocks)
             del blocks
-        # inner weights are monotone along a block, so the weights of its
-        # first and last pairs bound those of all its pairs; with one
-        # alpha per interval, that is the first pair's weight and an inner
-        # range inside one equal-weight run
-        weight = t_in.weights[s0] + t_fx.weights[f0]
-        self._within(weight, low, high)
         end = s0 + side.inner_len[b0:b1]
-        if high is low:
-            if not (end <= t_in.run_end[s0]).all():
-                raise AssertionError(f"{name} run block crosses an equal-weight inner run")
-            return
         if not (end <= t_in.size).all():
             raise AssertionError(f"{name} run block runs past its inner table")
         end -= 1
-        np.take(t_in.weights, end, out=weight)
-        del end
-        weight += t_fx.weights[f0]
-        self._within(weight, low, high)
+        # inner weights are monotone along a block, so the weights of its
+        # first and last pairs bound those of all its pairs
+        for inner in (s0, end):
+            weight = t_in.weights[inner]
+            weight += t_fx.weights[f0]
+            self._within(weight, low, high)
+            del weight
 
     def _within(self, weight: np.ndarray, low, high) -> None:
         """Assert low <= alpha <= high for the pair weights `weight`
         (overwritten: on the right, alpha is d0 minus the weight)."""
         if self.d0 is not None:
             np.subtract(self.d0, weight, out=weight)
-        if high is low:
-            within = (weight == low).all()
-        else:
-            within = (low <= weight).all() and (weight <= high).all()
-        if not within:
+        if not ((low <= weight).all() and (weight <= high).all()):
             raise AssertionError(f"{self.name} run block weight lies outside its interval")
 
 
@@ -545,14 +534,14 @@ def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> in
     when a value repeats, four 8-byte arrays beside the indices: <= 64.
     Hashing a side from its blocks briefly needs 16 more bytes
     per pair beside the hashes, which is less.  The per-block checks run
-    on one chunk's blocks before the chunk is joined and need at most 33
+    on one chunk's blocks before the chunk is joined and need at most 32
     bytes per block, so per pair, of that chunk (the per-block lower
-    bound, the pair weights, the last inner indices or a gathered fixed
-    weight, and a comparison mask); beside the left chunk's
-    hashes that is also less.  This holds for a grouped batch, whose
-    blocks may each be one pair, as for a batch of one alpha; a batch of
-    several wide intervals (the sweep makes none) needs 8 more bytes per
-    block for the upper bounds.  Not charged: the hash hits, whose
+    bound, the last inner indices, the pair weights and a gathered fixed
+    weight; the comparison masks come once the gather is freed); beside
+    the left chunk's hashes that is also less.  This holds for a grouped
+    batch, whose blocks may each be one pair, as for a batch of one
+    alpha; a batch of several wide intervals (the sweep makes none)
+    needs 8 more bytes per block for the upper bounds.  Not charged: the hash hits, whose
     number the solutions and collisions set, and the whole-batch check
     and split of a wide interval too large for one left chunk, about 40
     bytes per pair of a batch of at most the enumerator's pair budget,

@@ -30,7 +30,7 @@ def twin_instance(seed: int, m: int = 3, n: int = 20, k: int = 20) -> MspInstanc
     """A planted solution x with columns 0 and 6 equal, x_0 = 1 and x_6 =
     0: swapping them gives a second solution of the same alpha, since
     both columns lie in the left half (blocks A and B for n >= 12).
-    Small coefficients keep the sweep's windows dense."""
+    Small coefficients keep the sweep's windows narrow and dense."""
     rng = SplitMix64(seed)
     rows = [[rng.below(k) for _ in range(n)] for _ in range(m)]
     for row in rows:
@@ -71,8 +71,8 @@ def batch_vectors(tables, batch) -> set[tuple[int, ...]]:
 
     out = set()
     for part in batch.per_alpha(tables):
-        for a_idx, b_idx in part.left_pairs:
-            for c_idx, d_idx in part.right_pairs:
+        for a_idx, b_idx in part.left_pairs[:]:
+            for c_idx, d_idx in part.right_pairs[:]:
                 out.add(assemble_solution(tables, a_idx, b_idx, c_idx, d_idx))
     return out
 

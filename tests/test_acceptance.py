@@ -139,8 +139,8 @@ def test_criterion_3_two_list_cross_check():
         for name, enum in enumerators.items():
             emitted = set()
             for batch in drain_all_batches(enum):
-                for a_idx, b_idx in batch.left_pairs:
-                    for c_idx, d_idx in batch.right_pairs:
+                for a_idx, b_idx in batch.left_pairs[:]:
+                    for c_idx, d_idx in batch.right_pairs[:]:
                         emitted.add(
                             assemble_solution(tables, a_idx, b_idx, c_idx, d_idx)
                         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -221,8 +222,8 @@ class TestEnumerator:
             enum = PairSumEnumerator(tables, target)
             emitted: list[tuple] = []
             for batch in drain_all_batches(enum):
-                for a_idx, b_idx in batch.left_pairs:
-                    for c_idx, d_idx in batch.right_pairs:
+                for a_idx, b_idx in batch.left_pairs[:]:
+                    for c_idx, d_idx in batch.right_pairs[:]:
                         emitted.append(
                             assemble_solution(tables, a_idx, b_idx, c_idx, d_idx)
                         )
@@ -260,16 +261,16 @@ class TestEnumerator:
             assert batch.alpha + batch.beta == target
             assert all(
                 int(ta.weights[i]) + int(tb.weights[j]) == batch.alpha
-                for i, j in batch.left_pairs
+                for i, j in batch.left_pairs[:]
             )
             assert all(
                 int(tc.weights[k]) + int(td.weights[l]) == batch.beta
-                for k, l in batch.right_pairs
+                for k, l in batch.right_pairs[:]
             )
             # no duplicate pairs within a side
-            assert len({(int(i), int(j)) for i, j in batch.left_pairs}) == batch.n_left
+            assert len({(int(i), int(j)) for i, j in batch.left_pairs[:]}) == batch.n_left
             assert (
-                len({(int(k), int(l)) for k, l in batch.right_pairs}) == batch.n_right
+                len({(int(k), int(l)) for k, l in batch.right_pairs[:]}) == batch.n_right
             )
 
     def test_heap_size_bounds(self):
@@ -412,7 +413,7 @@ class TestRunBlocks:
             rb[0]
         with pytest.raises(TypeError):
             rb[::2]
-        assert [list(p) for p in rb] == _expand_reference(_run_blocks([(3, 2, 5, 2)]))
+        assert [list(p) for p in rb[:]] == _expand_reference(_run_blocks([(3, 2, 5, 2)]))
 
 
 def batch_stream_of(batches) -> list[tuple]:
@@ -475,8 +476,8 @@ def _recording_flush(monkeypatch) -> list[tuple[int, int, tuple[int, int], int]]
 def _recording_matches(patch) -> list[tuple[int, int, list, bool]]:
     """Patch `SumsetEnumerator._flush` and `_intervals` (through a
     `MonkeyPatch`) to record each match: its buffer's first lo and last
-    hi, or its dense window's lo and hi, the batches it emitted, and
-    whether they are a dense window's intervals."""
+    hi, or its narrow window's lo and hi, the batches it emitted, and
+    whether they are a narrow window's intervals."""
     matches = []
     flush, intervals = SumsetEnumerator._flush, SumsetEnumerator._intervals
 
@@ -493,6 +494,17 @@ def _recording_matches(patch) -> list[tuple[int, int, list, bool]]:
     patch.setattr(SumsetEnumerator, "_flush", recording_flush)
     patch.setattr(SumsetEnumerator, "_intervals", recording_intervals)
     return matches
+
+
+def _kept_sums(enum, lo: int, hi: int, batches) -> int:
+    """The most distinct-weight pairs either side of window [lo, hi]
+    holds whose sums are alphas of `batches`."""
+    left, right, target = enum._left, enum._right, enum.target
+    alphas = np.concatenate([b.alphas for b in batches])
+    l_val = left.sums(left.count_le(lo - 1), left.count_le(hi))[0]
+    r_val = right.sums(right.count_le(target - hi - 1), right.count_le(target - lo))[0]
+    r_val = np.uint64(target) - r_val
+    return max(int(np.isin(v, alphas).sum()) for v in (l_val, r_val))
 
 
 def _wide_weight_instance(m: int, n: int, spread: str) -> MspInstance:
@@ -595,7 +607,7 @@ class TestSumsetEnumerator:
     @pytest.mark.parametrize("n", [8, 13, 16])
     @pytest.mark.parametrize("spread", ["clustered", "uniform"])
     def test_buffered_survivors_within_cap_and_clamp(self, monkeypatch, m, n, spread):
-        # windows of sparse survivors share one buffer only while their
+        # wide windows' survivors share one buffer only while their
         # packed keys, taken from the buffer's first lo, stay exact
         inst = _wide_weight_instance(m, n, spread)
         flushes = _recording_flush(monkeypatch)
@@ -712,12 +724,37 @@ class TestSumsetEnumerator:
         assert (enum._lcount == enum._left.count_le(end)).all()
         assert (enum._rcount == enum._right.count_le(target - end - 1)).all()
 
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_narrow_sparse_stream_equals_heap(self, seed, monkeypatch):
+        # unreduced (3,20,100): every window is narrow, and some are
+        # sparse, their common alphas' sums filling at most half the cap
+        # on either side; their intervals carry pairs of alphas only one
+        # side holds, and split per alpha the stream is the heap's
+        inst = generate_instance(3, 100, seed)
+        tables = build_quarter_tables(inst)
+        target = int(inst.d[0])
+        matches = _recording_matches(monkeypatch)
+        enum = SumsetEnumerator(tables, target)
+        batches = list(iter(enum.next_batch, None))
+        assert all(narrow for *_, narrow in matches)
+        sparse = [
+            match for lo, hi, match, _ in matches
+            if 2 * _kept_sums(enum, lo, hi, match) <= enum.window_pairs
+        ]
+        assert sparse and any(
+            b.n_left + b.n_right > b.left_counts.sum() + b.right_counts.sum()
+            for match in sparse for b in match
+        )
+        per_alpha = [p for b in batches for p in b.per_alpha(tables)]
+        assert batch_stream_of(per_alpha) == batch_stream(PairSumEnumerator(tables, target))
+
     @pytest.mark.parametrize("m, batches", [(5, None), (6, 6)])
     def test_dense_stream_equals_heap(self, m, batches):
-        # unreduced (5,40,100) and (6,50,100): nearly every window is
-        # dense, so batches are single wide intervals of long rows; split
-        # per alpha they are the heap's stream (the whole (5,40,100)
-        # sweep, the first `batches` batches of the (6,50,100) one)
+        # unreduced (5,40,100) and (6,50,100): every window is narrow
+        # and nearly every one dense, so batches are single wide
+        # intervals of long rows; split per alpha they are the heap's
+        # stream (the whole (5,40,100) sweep, the first `batches`
+        # batches of the (6,50,100) one)
         inst = generate_instance(m, 100, 1)
         tables = build_quarter_tables(inst)
         target = int(inst.d[0])
@@ -896,6 +933,7 @@ class TestPairBudgetedGroups:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(enumerate1d, "BATCH_PAIRS", budget)
             matches = _recording_matches(patch)
+            windows = _recording_cut(patch)
             enum = SumsetEnumerator(tables, target, window)
             batches = list(iter(enum.next_batch, None))
         cap = enum.batch_pairs
@@ -910,15 +948,25 @@ class TestPairBudgetedGroups:
         emitted = [b for _, _, match, _ in matches for b in match]
         assert len(emitted) == len(batches)
         assert all(a is b for a, b in zip(emitted, batches))
-        for lo, hi, match, dense in matches:
+        # the width alone picks a window's route: a narrow window's
+        # alphas become intervals, a buffer holds wide windows' alphas only
+        ends = [w_hi for _, w_hi, _ in windows]
+        wide = [w_hi - w_lo >= enum.window_pairs for w_lo, w_hi, _ in windows]
+        for lo, hi, match, narrow in matches:
+            if narrow:
+                assert (lo, hi) in [(w_lo, w_hi) for w_lo, w_hi, _ in windows]
+                assert hi - lo < enum.window_pairs
+            else:
+                alphas = [a for b in match for a in b.alphas.tolist()]
+                assert all(wide[bisect_left(ends, a)] for a in alphas)
             # no batch spans two matches: its alphas lie in its buffer's
-            # or its dense window's
+            # or its narrow window's
             assert all(lo <= b.alphas[0] and b.alphas[-1] <= hi for b in match)
             sizes = [_batch_sizes(b) for b in match]
             for batch, (pairs, _) in zip(match, sizes):
                 assert pairs <= cap or len(batch.alphas) == 1
                 # each interval holds every pair of its span, no more
-                lows, highs, _, _ = batch.spans()
+                lows, highs, _, _ = batch.spans
                 assert pairs == sum(
                     _span_pairs(tables, target, a0, a1)
                     for a0, a1 in zip(lows.tolist(), highs.tolist())
@@ -928,7 +976,7 @@ class TestPairBudgetedGroups:
             for batch, nxt, (pairs, _), (_, first) in zip(
                 match, match[1:], sizes, sizes[1:]
             ):
-                if dense:
+                if narrow:
                     span = (int(batch.alphas[0]), int(nxt.alphas[0]))
                     assert _span_pairs(tables, target, *span) > cap
                 else:
@@ -959,9 +1007,9 @@ class TestPairBudgetedGroups:
         assert crossing and all(g.n_left + g.n_right <= 64 for g in crossing)
 
     def test_first_mode_stops_after_solving_buffer(self, monkeypatch):
-        # a sparse first-mode sweep: the solving alpha is in the last
-        # buffer matched, and at most the window that made that buffer
-        # full is cut past it
+        # a first-mode sweep of wide windows: the solving alpha is in
+        # the last buffer matched, and at most the window that made that
+        # buffer full is cut past it
         inst = surrogate_reduce(generate_instance(5, 100, 1), 3)
         flushes = _recording_flush(monkeypatch)
         windows = _recording_cut(monkeypatch)

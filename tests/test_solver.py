@@ -355,7 +355,7 @@ class TestWindowBatchesThroughSolver:
 
 
 class TestWideIntervalsThroughSolver:
-    """Unreduced small-coefficient sweeps validate dense windows as wide
+    """Unreduced small-coefficient sweeps validate narrow windows as wide
     alpha intervals; first mode must still return the per-alpha loop's
     vector."""
 

@@ -590,7 +590,7 @@ class TestChunking:
         # and the per-block checks see as many blocks as pairs; for
         # one-pair blocks the block offsets are the pair edges
         inst, tables, batch = self._largest_m6_batch()
-        _, _, l_edges, r_edges = batch.spans()
+        _, _, l_edges, r_edges = batch.spans
         batch = dataclasses.replace(
             batch,
             left_pairs=RunBlocks.from_pairs(batch.left_pairs[:]),
@@ -639,7 +639,7 @@ def _window_batches(inst, window=None):
 
 def _as_one_alpha_intervals(batch, tables):
     """The common alphas' pairs of a batch as one one-alpha interval per
-    alpha, laid out as a sparse match lays them out."""
+    alpha, laid out as a buffered match lays them out."""
     parts = batch.per_alpha(tables)
     sides, offsets = [], []
     for name in ("left_pairs", "right_pairs"):
@@ -743,7 +743,7 @@ class TestWindowBatches:
         batch = max(batches, key=lambda b: len(b.alphas))
         batch = _as_one_alpha_intervals(batch, tables)
         assert len(batch.alphas) > 10 and batch.n_right > 2 * len(batch.alphas)
-        _, _, l_edges, r_edges = batch.spans()
+        _, _, l_edges, r_edges = batch.spans
 
         def alphas(edges, lo, hi):
             return set(np.searchsorted(edges, np.arange(lo, hi), side="right") - 1)
@@ -842,7 +842,7 @@ def _counted(batch, chunk: int) -> tuple[int, int]:
 
 
 def _wide_batches(batches) -> list:
-    """The batches of one interval holding several alphas: dense windows'."""
+    """The batches of one interval holding several alphas: narrow windows'."""
     return [b for b in batches if len(b.alpha_at) == 2 and len(b.alphas) > 1]
 
 
@@ -884,7 +884,7 @@ def _hand_built(tables, target: int, bounds) -> CandidateBatch:
 
 
 class TestIntervalBatches:
-    """Dense windows' batches: one alpha interval of long rows, holding
+    """Narrow windows' batches: one alpha interval of long rows, holding
     pairs of alphas only one side has; and hand-built batches of several
     wide intervals."""
 
