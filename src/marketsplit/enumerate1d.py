@@ -33,9 +33,14 @@ it knows its common alphas, those both sides hold, and is cut at once
 into interval batches: each the longest run of consecutive common
 alphas whose span holds at most `batch_pairs` = max(window cap,
 `BATCH_PAIRS`) index pairs on both sides together, or one common alpha
-over that alone.  An interval's blocks are one per fixed run, with the
-inner entries whose sums lie in its span: one contiguous range, read
-from the sweep's frontiers (`_SumsetSide.count_le`) at the span's ends.
+over that alone.  Below n = 60 the budget is `BATCH_PAIRS`, more than
+any window of the benchmark's (5,40,100) sweeps holds, so each of
+their windows is one batch, one validation call; a (6,50,100) window
+holds alphas over the budget, each a batch alone, with the runs
+between them.  From n = 60 on the budget is the cap.  An interval's
+blocks are one per fixed run, with the inner entries whose sums lie in
+its span: one contiguous range, read from the sweep's frontiers
+(`_SumsetSide.count_le`) at the span's ends.
 Nothing is sorted or matched, and the rows are long; the pairs of
 alphas in the span that only one side holds ride along and can never
 match.
@@ -93,10 +98,18 @@ from .instances import MASK64, MspInstance, SolutionVector, SplitMix64
 #: Seed of the SplitMix64 stream that yields the hash multipliers.
 HASH_SEED = 0x5EED_1EAF_0DD5_CA1E
 
-#: Pair budget of a `SumsetEnumerator` batch, unless its window cap is
-#: larger: enough pairs that one validation call's fixed cost is small
-#: against its per-pair cost.
-BATCH_PAIRS = 1 << 15
+#: Pair budget of a `SumsetEnumerator` batch, or its window cap where
+#: that is larger (the cap reaches it at n = 60).  A `validate_chunked`
+#: call costs about 60-80 us fixed plus 8-11 ns per pair (2-core Xeon,
+#: Python 3.11, numpy 2.4; the batches of four (5,40,100) sweeps), and
+#: those solves save 130-270 us per call fewer.  So the fixed cost is
+#: about 5% of a full batch's call (15-20% at 2^15), and every window of
+#: those sweeps is one call.  A larger budget buys fewer calls with work past
+#: the solving alpha in first mode (up to one budget) and with the bytes
+#: a batch holds beyond its chunks (see `default_chunk_pairs`); from
+#: 3 * 2^16 on, a (6,50,100) sweep's temporaries outgrow what glibc
+#: keeps between calls, and each call faults them back in.
+BATCH_PAIRS = 1 << 17
 
 
 @lru_cache(maxsize=None)
@@ -755,7 +768,10 @@ class SumsetEnumerator:
     docstring).  Both append to `_pending` and cut their alphas with one
     loop (`_budget_cuts`): at most `batch_pairs` = max(`window_pairs`,
     `BATCH_PAIRS`) pairs on both sides together per batch, or one alpha
-    over that alone.
+    over that alone.  With the default cap that is `BATCH_PAIRS` below
+    n = 60 and the cap itself from n = 60 on.  A first-solution solve
+    validates its solving batch whole and stops, so the pairs it
+    validates past the solving alpha total at most `batch_pairs`.
     """
 
     def __init__(

@@ -230,14 +230,18 @@ class SerialBackend:
         )
         return EncodedSet(hashes=hashes)
 
+    def rhs(self, d: np.ndarray) -> np.ndarray:
+        """The right-hand side as `right_hashes` takes it: d itself."""
+        return d
+
     def left_hashes(self, tables, side: RunBlocks, lo: int, hi: int) -> np.ndarray:
         return self.encode(_left_vectors(side[lo:hi], tables)).hashes
 
     def right_hashes(
-        self, tables, side: RunBlocks, lo: int, hi: int, d: np.ndarray
+        self, tables, side: RunBlocks, lo: int, hi: int, rhs: np.ndarray
     ) -> np.ndarray:
         # uint64 wrap-around is intended: h(v mod 2^64) == h(v) mod 2^64
-        return self.encode(d - _right_sums(side[lo:hi], tables)).hashes
+        return self.encode(rhs - _right_sums(side[lo:hi], tables)).hashes
 
     def join(
         self, left: np.ndarray, right: np.ndarray
@@ -264,7 +268,9 @@ class ParallelBackend:
     """Production implementation: numpy-vectorized hashing and join.
 
     Pair hashes are summed straight from the run blocks and the tables'
-    precomputed hash columns (`RunBlocks.sums`).
+    precomputed hash columns (`RunBlocks.sums`); the right-hand side
+    enters only as its hash h(d), taken once per `validate_chunked` call
+    (`rhs`).
     """
 
     name = "parallel"
@@ -272,14 +278,18 @@ class ParallelBackend:
     def encode(self, vectors: np.ndarray) -> EncodedSet:
         return EncodedSet(hashes=encode_batch(vectors))
 
+    def rhs(self, d: np.ndarray) -> np.uint64:
+        """The right-hand side as `right_hashes` takes it: h(d)."""
+        return np.uint64(encode_vector(d.tolist()))
+
     def left_hashes(self, tables, side: RunBlocks, lo: int, hi: int) -> np.ndarray:
         return side.sums(tables[0].hashes, tables[1].hashes, lo, hi)
 
     def right_hashes(
-        self, tables, side: RunBlocks, lo: int, hi: int, d: np.ndarray
+        self, tables, side: RunBlocks, lo: int, hi: int, rhs: np.uint64
     ) -> np.ndarray:
         sums = side.sums(tables[2].hashes, tables[3].hashes, lo, hi)
-        return np.subtract(np.uint64(encode_vector(d.tolist())), sums, out=sums)
+        return np.subtract(rhs, sums, out=sums)
 
     join = staticmethod(join_hashes)
 
@@ -406,6 +416,7 @@ def validate_chunked(
     left, right = batch.left_pairs, batch.right_pairs
     _, _, l_edges, r_edges = batch.spans
     n_left = int(l_edges[-1])
+    rhs = backend.rhs(d)
     stats.calls += 1
 
     solutions: list[SolutionVector] = []
@@ -428,7 +439,7 @@ def validate_chunked(
                 stats.candidates_right += r_end - max(rs, right_done)
                 right_done = r_end
             li, ri = backend.join(
-                left_h, backend.right_hashes(tables, right, rs, r_end, d)
+                left_h, backend.right_hashes(tables, right, rs, r_end, rhs)
             )
             if not len(li):
                 continue
@@ -493,12 +504,17 @@ class _BlockCheck:
             raise AssertionError(f"{name} run block runs past its inner table")
         end -= 1
         # inner weights are monotone along a block, so the weights of its
-        # first and last pairs bound those of all its pairs
-        for inner in (s0, end):
-            weight = t_in.weights[inner]
-            weight += t_fx.weights[f0]
-            self._within(weight, low, high)
-            del weight
+        # first and last pairs bound those of all its pairs; the fixed
+        # weights are gathered once, and the last pairs' inner indices
+        # dropped once used
+        weight = t_fx.weights[f0]
+        last = t_in.weights[end]
+        del end
+        last += weight
+        self._within(last, low, high)
+        del last
+        weight += t_in.weights[s0]
+        self._within(weight, low, high)
 
     def _within(self, weight: np.ndarray, low, high) -> None:
         """Assert low <= alpha <= high for the pair weights `weight`
@@ -541,12 +557,20 @@ def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> in
     the left chunk's hashes that is also less.  This holds for a grouped
     batch, whose blocks may each be one pair, as for a batch of one
     alpha; a batch of several wide intervals (the sweep makes none)
-    needs 8 more bytes per block for the upper bounds.  Not charged: the hash hits, whose
-    number the solutions and collisions set, and the whole-batch check
-    and split of a wide interval too large for one left chunk, about 40
-    bytes per pair of a batch of at most the enumerator's pair budget,
-    the size of the sweep's own window arrays.  No m-vector is built
-    per pair, so `m` does not enter; the reference path that does build
-    them (`SerialBackend`) is not sized by this budget.
+    needs 8 more bytes per block for the upper bounds.  Not charged: the
+    hash hits, whose number the solutions and collisions set, and the
+    whole-batch check and split of a multi-alpha interval too large for
+    one left chunk.  The check needs the same 32 bytes per block; the
+    split needs about 41 bytes per inner entry of its blocks, and an
+    entry holds at least one pair of a batch of at most the
+    enumerator's pair budget: `BATCH_PAIRS` = 2^17 (so about 5 MiB), or
+    from n = 60 on the window cap, the size of the sweep's own window
+    arrays.  The sweep's blocks are one per fixed run, so an interval
+    holds far fewer entries than pairs: the largest such interval among
+    the first 500 batches of (6,50,100) s5, 105,396 left pairs in
+    26,230 entries, splits in 0.81 MB (31 bytes per entry, 7.7 per left
+    pair).  No m-vector is built per pair, so `m` does not enter; the
+    reference path that does build them (`SerialBackend`) is not sized
+    by this budget.
     """
     return max(1, budget_bytes // 64)

@@ -52,6 +52,22 @@ def test_tree_against_itself():
     assert 0 < float(peaks[1]) == float(peaks[2])
 
 
+def test_allocator_neutral_reexecutes():
+    # the flag's settings reach the re-executed process, which names them
+    # in the header line; one tree against itself still passes
+    out = run_ab("--smoke", "--rounds", "2", "--allocator-neutral")
+    assert out.returncode == 0, out.stderr
+    header = out.stdout.splitlines()[0]
+    assert header.endswith(
+        "same answers and counters in every round; allocator-neutral: "
+        "MALLOC_TRIM_THRESHOLD_=1073741824, MALLOC_MMAP_THRESHOLD_=33554432"
+    ), header
+    assert "change faster in" in out.stdout
+    # without the flag the header names no allocator settings
+    plain = run_ab("--smoke", "--rounds", "1")
+    assert plain.returncode == 0 and "allocator-neutral" not in plain.stdout
+
+
 def test_held_out_seeds():
     out = run_ab("--held-out", "--rounds", "1")
     assert out.returncode == 0, out.stderr

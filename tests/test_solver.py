@@ -9,6 +9,7 @@ import threading
 import time
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -380,6 +381,54 @@ class TestWideIntervalsThroughSolver:
             result = solve(inst, cfg)
             s = result.stats
             assert (result.solutions, s.batches, s.max_batch_pairs, s.progress) == expected
+
+
+class TestFirstModeOvershoot:
+    """A first-solution solve validates its solving batch whole, so the
+    pair budget trades validation calls against work past the solving
+    alpha; with one validator that work stays within one budget."""
+
+    @staticmethod
+    def _pairs_past(batch, tables, alpha: int) -> int:
+        """Pairs of `batch` on both sides whose alpha exceeds `alpha`."""
+        ta, tb, tc, td = tables
+        left, right = batch.left_pairs[:], batch.right_pairs[:]
+        l_alpha = ta.weights[left[:, 0]] + tb.weights[left[:, 1]]
+        r_beta = tc.weights[right[:, 0]] + td.weights[right[:, 1]]
+        r_alpha = np.uint64(batch.target) - r_beta
+        return int((l_alpha > alpha).sum() + (r_alpha > alpha).sum())
+
+    @pytest.mark.parametrize("budget", [None, 2**12], ids=["default", "small"])
+    @pytest.mark.parametrize("m,seed", [(5, 14), (5, 17), (6, 5), (6, 9)])
+    def test_pairs_past_solving_alpha_within_budget(self, monkeypatch, budget, m, seed):
+        if budget is not None:
+            monkeypatch.setattr(enumerate1d, "BATCH_PAIRS", budget)
+        enums, batches = [], []
+
+        def recording_enumerator(*args):
+            enums.append(SumsetEnumerator(*args))
+            return enums[-1]
+
+        def recording_validate(batch, *args, **kwargs):
+            batches.append(batch)
+            return validate_chunked(batch, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "SumsetEnumerator", recording_enumerator)
+        monkeypatch.setattr(solver_module, "validate_chunked", recording_validate)
+        inst = generate_instance(m, 100, seed)
+        result = solve(inst, SolverConfig(mode="first", worker_count=1))
+        assert result.verdict == "feasible"
+        (enum,) = enums
+        assert enum.batch_pairs == max(enum.window_pairs, budget or enumerate1d.BATCH_PAIRS)
+        tables = enum.tables
+        cols = tables[0].var_indices + tables[1].var_indices
+        alpha = sum(int(inst.a[0, c]) for c in cols if result.solutions[0][c])
+        # the solving batch is the last one validated
+        assert alpha in batches[-1].alphas
+        assert all(b.alphas[-1] < alpha for b in batches[:-1])
+        past = self._pairs_past(batches[-1], tables, alpha)
+        assert past <= enum.batch_pairs
+        assert result.stats.validate_calls == len(batches)
 
 
 class TestBackendsThroughSolver:

@@ -141,7 +141,9 @@ class TestHash:
         left_side, right_side = RunBlocks.from_pairs(left), RunBlocks.from_pairs(right)
         for backend in (production, reference):
             got_left = backend.left_hashes(tables, left_side, 0, len(left))
-            got_right = backend.right_hashes(tables, right_side, 0, len(right), d)
+            got_right = backend.right_hashes(
+                tables, right_side, 0, len(right), backend.rhs(d)
+            )
             assert got_left.tobytes() == encode_batch(left_vec).tobytes()
             assert got_right.tobytes() == encode_batch(right_vec).tobytes()
         for row, h in zip(right_vec[:50].tolist(), got_right[:50].tolist()):
@@ -189,7 +191,9 @@ class TestHash:
                         return ta.contribs[pairs[:, 0]] + tb.contribs[pairs[:, 1]]
                 else:
                     def hashes(lo, hi):
-                        return backend.right_hashes(tables, side, lo, hi, d)
+                        return backend.right_hashes(
+                            tables, side, lo, hi, backend.rhs(d)
+                        )
 
                     def reference(pairs):
                         return d - (tc.contribs[pairs[:, 0]] + td.contribs[pairs[:, 1]])
@@ -569,12 +573,17 @@ class TestChunking:
         return peak
 
     @staticmethod
-    def _largest_m6_batch():
-        """The largest of the first 500 batches of a (6,50,100) sweep."""
+    def _m6_batches():
+        """The first 500 batches of a (6,50,100) sweep."""
         inst = generate_instance(6, 100, 5)
         tables = build_quarter_tables(inst)
         enum = SumsetEnumerator(tables, int(inst.d[0]))
-        batches = [enum.next_batch() for _ in range(500)]
+        return inst, tables, [enum.next_batch() for _ in range(500)]
+
+    @classmethod
+    def _largest_m6_batch(cls):
+        """The largest of the first 500 batches of a (6,50,100) sweep."""
+        inst, tables, batches = cls._m6_batches()
         return inst, tables, max(batches, key=lambda b: b.n_left + b.n_right)
 
     def test_chunked_call_peaks_within_memory_budget(self):
@@ -583,6 +592,18 @@ class TestChunking:
         inst, tables, batch = self._largest_m6_batch()
         chunk = default_chunk_pairs(inst.m, self.BUDGET)
         assert batch.n_left > 4 * chunk and batch.n_right > chunk
+        assert 0 < self._call_peak(batch, tables, inst, chunk) <= self.BUDGET
+
+    def test_split_interval_peaks_within_memory_budget(self):
+        # at the default pair budget some narrow windows' intervals hold
+        # several alphas and more left pairs than one chunk, so the call
+        # checks their blocks whole and splits them per alpha first
+        inst, tables, batches = self._m6_batches()
+        chunk = default_chunk_pairs(inst.m, self.BUDGET)
+        split = [b for b in batches if len(b.alpha_at) <= len(b.alphas) and b.n_left > chunk]
+        assert split, "no multi-alpha interval needs several left chunks"
+        batch = max(split, key=lambda b: b.n_left + b.n_right)
+        assert len(batch.alphas) > 1 and batch.n_left > chunk
         assert 0 < self._call_peak(batch, tables, inst, chunk) <= self.BUDGET
 
     def test_one_pair_blocks_peak_within_memory_budget(self):
@@ -732,9 +753,9 @@ class TestWindowBatches:
                 self.left = (lo, hi)
                 return super().left_hashes(tables, side, lo, hi)
 
-            def right_hashes(self, tables, side, lo, hi, d):
+            def right_hashes(self, tables, side, lo, hi, rhs):
                 self.joined.append((self.left, (lo, hi)))
-                return super().right_hashes(tables, side, lo, hi, d)
+                return super().right_hashes(tables, side, lo, hi, rhs)
 
         # small weights: alphas of several pairs each, in one group
         # (the widest interval, as one one-alpha interval per alpha)

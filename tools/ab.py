@@ -2,7 +2,7 @@
 
     python tools/ab.py PARENT_SRC CHANGE_SRC --workload NAME [--rounds N]
                        [--seeds 1,3 | --held-out | --smoke]
-                       [--expect-changed FIELD[,FIELD]]
+                       [--expect-changed FIELD[,FIELD]] [--allocator-neutral]
 
 PARENT_SRC and CHANGE_SRC are `src` directories, each holding a
 `marketsplit` package.  Both packages are loaded into this one process
@@ -32,6 +32,14 @@ untimed pass solves each seed once per tree under `tracemalloc` and
 reports each tree's traced peak per seed: the resident-set peak that
 perfbench reports cannot be split between two trees in one process,
 and it also moves with how much freed memory the allocator keeps.
+
+`--allocator-neutral` takes that allocator effect out of the timings:
+the script re-executes itself with glibc's `MALLOC_TRIM_THRESHOLD_`
+and `MALLOC_MMAP_THRESHOLD_` raised (see `ALLOCATOR_NEUTRAL`), so freed
+heap is kept rather than returned to the system and faulted back in,
+and large arrays come from the heap rather than from fresh mappings.
+glibc reads the two variables only at start-up, hence the re-execution;
+the report's header line names them with the values the run was given.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import argparse
 import dataclasses
 import gc
 import importlib.util
+import os
 import resource
 import statistics
 import sys
@@ -48,6 +57,13 @@ import tracemalloc
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+#: glibc tunables set by `--allocator-neutral`: trim only above 1 GiB of
+#: free heap top, and serve requests below 32 MiB from the heap.
+ALLOCATOR_NEUTRAL = {
+    "MALLOC_TRIM_THRESHOLD_": str(2**30),
+    "MALLOC_MMAP_THRESHOLD_": str(2**25),
+}
 
 
 def load_package(src: Path, name: str):
@@ -140,6 +156,12 @@ def parse_args(argv):
         help="the workload's configuration on the (3,20,100) smoke instance",
     )
     p.add_argument(
+        "--allocator-neutral",
+        action="store_true",
+        help="re-execute with glibc's trim and mmap thresholds raised "
+        "(see ALLOCATOR_NEUTRAL)",
+    )
+    p.add_argument(
         "--expect-changed",
         type=lambda s: tuple(s.split(",")),
         default=(),
@@ -154,8 +176,24 @@ def parse_args(argv):
     return args
 
 
+def allocator_neutral(argv: list[str]) -> str:
+    """Under `ALLOCATOR_NEUTRAL`, the header note naming its settings.
+    If this process started without them, it is replaced by one that has
+    them (glibc reads them only at start-up), run with the same `argv`."""
+    if any(os.environ.get(k) != v for k, v in ALLOCATOR_NEUTRAL.items()):
+        os.execve(
+            sys.executable, [sys.executable, str(Path(__file__).resolve()), *argv],
+            {**os.environ, **ALLOCATOR_NEUTRAL},
+        )
+    return "; allocator-neutral: " + ", ".join(
+        f"{k}={os.environ[k]}" for k in ALLOCATOR_NEUTRAL
+    )
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parse_args(argv)
+    note = allocator_neutral(argv) if args.allocator_neutral else ""
     sys.path.insert(0, str(PERFBENCH))
     from workloads import (
         WORKLOADS, check_answer, instance_name, load_reference, load_text,
@@ -214,6 +252,7 @@ def main(argv=None) -> int:
     print(
         f"workload {workload.name}, seeds {','.join(map(str, seeds))}, "
         f"{args.rounds} rounds; same answers and counters{others} in every round"
+        f"{note}"
     )
     for tree in (parent, change):
         q1, q2, q3 = quartiles(tree.times)
