@@ -247,11 +247,14 @@ def _run_ends(weights: np.ndarray) -> np.ndarray:
     return np.repeat(starts + lens, lens)
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def _ranges(
+    starts: np.ndarray, lens: np.ndarray, arange: np.ndarray | None = None
+) -> np.ndarray:
     """The integer ranges [s, s + len) of each (start, length), laid end
-    to end; a length may be 0."""
+    to end; a length may be 0.  `arange`, if given, is a reused
+    `np.arange` at least as long as the result."""
     pos = (starts - (lens.cumsum() - lens)).repeat(lens)
-    pos += np.arange(len(pos))
+    pos += np.arange(len(pos)) if arange is None else arange[: len(pos)]
     return pos
 
 
@@ -341,22 +344,34 @@ class RunBlocks:
         return inner, lens, fixed
 
     def sums(
-        self, inner_values: np.ndarray, fixed_values: np.ndarray, lo: int, hi: int
+        self, inner_values: np.ndarray, fixed_values: np.ndarray, lo: int, hi: int,
+        out: np.ndarray | None = None, arange: np.ndarray | None = None,
     ) -> np.ndarray:
         """inner_values[i] + fixed_values[f] for each pair (i, f) of lo..hi-1.
 
         Row by row: the row's fixed value, repeated, plus the inner values
-        of its contiguous index run; the pairs are never built.
+        of its contiguous index run; the pairs are never built.  With
+        `out` (and `arange`, see `_ranges`), reused buffers of at least
+        hi - lo entries, the sums are written to the front of `out`, and
+        the inner values are gathered with `mode="clip"`, since
+        `np.take` buffers a gather into `out` in mode "raise": an index
+        past the inner table would be clipped, not rejected.  Callers
+        pass `out` only for blocks already checked by `validate`'s
+        `_BlockCheck`, whose assertions "runs past its inner table" and
+        "crosses an equal-weight fixed run" bound both index ranges.
         """
         if hi <= lo:
             return np.empty(0, dtype=inner_values.dtype)
         inner, lens, fixed = self.rows(lo, hi)
-        if len(lens) == hi - lo:  # one pair per row
-            out = inner_values[inner]
-            out += fixed_values[fixed]
-            return out
-        out = inner_values[_ranges(inner, lens)]
-        out += fixed_values[fixed].repeat(lens)
+        several = len(lens) != hi - lo  # some row holds several pairs
+        pos = _ranges(inner, lens, arange) if several else inner
+        if out is None:
+            out = inner_values[pos]
+        else:
+            out = np.take(inner_values, pos, out=out[: hi - lo], mode="clip")
+        del pos
+        add = fixed_values[fixed]
+        out += add.repeat(lens) if several else add
         return out
 
     def pairs_at(self, pos: np.ndarray) -> np.ndarray:
@@ -695,13 +710,8 @@ def _bitmap_survivors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     both are empty when nothing survives.
     """
     small, big = (a, b) if len(a) <= len(b) else (b, a)
-    bits = min(max(len(small).bit_length() + 3, 10), 24)
-    mask = np.uint64((1 << bits) - 1)
-    # Masked values are below 2^24, so the int64 view is exact.
-    small_slots = (small & mask).view(np.int64)
+    bitmap, mask, small_slots = _bitmap_marks(small)
     big_slots = (big & mask).view(np.int64)
-    bitmap = np.zeros(1 << bits, dtype=np.uint8)
-    bitmap[small_slots] = 1
     # marks are 0 or 1 here, valid as bool, whose nonzero scan is fastest
     big_idx = bitmap[big_slots].view(np.bool_).nonzero()[0]
     if not len(big_idx):  # the common case for small hash batches
@@ -711,6 +721,20 @@ def _bitmap_survivors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     # Not empty: every slot marked 2 was marked 1 by the smaller side.
     small_idx = (bitmap[small_slots] == 2).nonzero()[0]
     return (small_idx, big_idx) if small is a else (big_idx, small_idx)
+
+
+def _bitmap_marks(small: np.ndarray) -> tuple[np.ndarray, np.uint64, np.ndarray]:
+    """The first pass of `_bitmap_survivors`, kept apart so that the
+    larger side can be filtered in pieces: the bitmap marked 1 at the
+    smaller side's slots, the mask that takes a value to its slot, and
+    the smaller side's slots."""
+    bits = min(max(len(small).bit_length() + 3, 10), 24)
+    mask = np.uint64((1 << bits) - 1)
+    # Masked values are below 2^24, so the int64 view is exact.
+    small_slots = (small & mask).view(np.int64)
+    bitmap = np.zeros(1 << bits, dtype=np.uint8)
+    bitmap[small_slots] = 1
+    return bitmap, mask, small_slots
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .instances import (
 from .oracle import brute_force_all
 from .validate import (
     DEFAULT_MEMORY_BUDGET,
+    JoinScratch,
     ValidationStats,
     default_chunk_pairs,
     get_backend,
@@ -357,12 +358,12 @@ def _run(
                 buffer.clear()
             return buffer.popleft() if buffer else None
 
-    def validate(seq: int, batch, vstats: ValidationStats) -> None:
+    def validate(seq: int, batch, vstats: ValidationStats, scratch: JoinScratch) -> None:
         nonlocal solved
         t0 = time.perf_counter()
         sols = validate_chunked(
             batch, tables, work, chunk, backend, d_perm, vstats,
-            should_stop=lambda: stopped(seq),
+            should_stop=lambda: stopped(seq), scratch=scratch,
         )
         elapsed = time.perf_counter() - t0
         counted = _batch_counts(batch, _solving_alpha(cfg, work, tables, sols))
@@ -375,10 +376,10 @@ def _run(
                 if cfg.mode == "first":
                     solved = min(solved, seq)
 
-    def validator(vstats: ValidationStats, start_helpers=None) -> None:
+    def validator(vstats: ValidationStats, scratch: JoinScratch, start_helpers=None) -> None:
         try:
             while (item := take(start_helpers)) is not None:
-                validate(*item, vstats)
+                validate(*item, vstats, scratch)
                 del item  # released before the next refill
         except BaseException as exc:  # stops every validator; the caller raises it
             with lock:
@@ -389,14 +390,15 @@ def _run(
         finished solve's tables alive until a garbage collection."""
         for i, v in enumerate(vstats[1:], 1):
             t = threading.Thread(
-                target=validator, args=(v,), name=f"validate-{i}", daemon=True
+                target=validator, args=(v, JoinScratch()), name=f"validate-{i}",
+                daemon=True,
             )
             t.start()
             helpers.append(t)
 
     vstats = [ValidationStats() for _ in range(workers)]
     helpers: list[threading.Thread] = []
-    validator(vstats[0], start_helpers)
+    validator(vstats[0], JoinScratch(), start_helpers)
     for t in helpers:
         t.join()
 

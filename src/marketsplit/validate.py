@@ -46,6 +46,22 @@ bitmap holds at least eight slots per marked hash and never exceeds
 exact residual comparison and a full re-verification of the assembled
 solution, so the hash affects speed only.
 
+A chunk pair whose larger side holds more than 2 * `PIECE` pairs is
+joined streamed (`ParallelBackend.join_chunks`): the smaller side is
+hashed whole and marked in the bitmap as above, then the larger side is
+hashed, masked and filtered `PIECE` pairs at a time, in buffers that
+each validator reuses for a whole solve (`JoinScratch`), and only its
+survivors' positions and hashes are kept; the second filter pass and
+the sort run on those.  The result is that of the whole-array join, in
+the same order.  A piece's arrays fit a core's L2 cache, and no array
+the length of the larger side is allocated, so there is no large heap
+top for the allocator to return to the system after one call and fault
+back in on the next.  Every other chunk pair is joined as above, its
+left side hashed first.  A left chunk that meets several right chunks
+is hashed once, whole, before them (and is the streamed side of none),
+so either way a left pair is hashed once per left chunk and a right
+pair once per left chunk it meets.
+
 Backend "parallel" is the production path; "serial" is the pure-Python
 reference, which hashes built residuals and joins by sort and bisection.
 Oversized batches are cut into chunk pairs to respect a memory budget;
@@ -82,6 +98,7 @@ from .enumerate1d import (
     CandidateBatch,
     QuarterTable,
     RunBlocks,
+    _bitmap_marks,
     _bitmap_survivors,
     _ranges,
     assemble_solution,
@@ -92,6 +109,12 @@ from .enumerate1d import (
 from .instances import MspInstance, SolutionVector, verify_solution
 
 DEFAULT_MEMORY_BUDGET = 512 * 2**20
+
+#: Pairs per piece of a streamed chunk pair's larger side (see the
+#: module docstring): a piece's 8-byte arrays take 256 KiB, well inside a
+#: core's 2 MiB L2.  Measured on (6,50,100) against 2^14 and 2^16; the
+#: numbers are in CHANGES.md.
+PIECE = 1 << 15
 
 
 @dataclass
@@ -193,7 +216,63 @@ def join_hashes(
     left_idx, right_idx = _bitmap_survivors(left, right)
     if not len(left_idx):
         return left_idx, right_idx
+    return _equal_pairs(left, left_idx, right, right_idx)
 
+
+def _streamed_join(
+    small: np.ndarray,
+    n_big: int,
+    hash_piece: Callable[..., np.ndarray],
+    small_is_left: bool,
+    scratch: "JoinScratch",
+) -> tuple[np.ndarray, np.ndarray]:
+    """`join_hashes` of `small` and a larger side of `n_big` hashes that
+    is hashed and filtered `PIECE` at a time: `hash_piece(lo, hi, out,
+    arange)` returns its hashes lo..hi-1, written into `out` (see
+    `RunBlocks.sums`).  Only the survivors' positions and hashes are kept
+    of that side; the filter and the tail are `join_hashes`' own, so the
+    result is the same, in the same order."""
+    bitmap, mask, small_slots = _bitmap_marks(small)
+    hashes, slots, gathered, arange = scratch.buffers()
+    pos, kept = [], []
+    for lo in range(0, n_big, PIECE):
+        h = hash_piece(lo, min(lo + PIECE, n_big), hashes, arange)
+        n = len(h)
+        # slots are masked into the bitmap, so clipping moves none
+        on = np.take(
+            bitmap, np.bitwise_and(h, mask, out=slots[:n]).view(np.int64),
+            out=gathered[:n], mode="clip",
+        )
+        idx = on.view(np.bool_).nonzero()[0]
+        if len(idx):
+            kept.append(h[idx])
+            idx += lo
+            pos.append(idx)
+    if not pos:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    big_h = np.concatenate(kept)
+    del kept
+    big_idx = np.concatenate(pos)
+    del pos
+    bitmap[(big_h & mask).view(np.int64)] = 2
+    small_idx = (bitmap[small_slots] == 2).nonzero()[0]
+    del bitmap, small_slots
+    # the tail sees the larger side as its survivors' hashes
+    local = np.arange(len(big_h))
+    if small_is_left:
+        left_idx, right_idx = _equal_pairs(small, small_idx, big_h, local)
+        return left_idx, big_idx[right_idx]
+    left_idx, right_idx = _equal_pairs(big_h, local, small, small_idx)
+    return big_idx[left_idx], right_idx
+
+
+def _equal_pairs(
+    left: np.ndarray, left_idx: np.ndarray, right: np.ndarray, right_idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of ascending positions `left_idx` x `right_idx`
+    (neither empty) with left[i] == right[j], ordered by j, then i: the
+    one-sort tail of `join_hashes` on the bitmap filter's survivors."""
     # one sort of both sides' survivors: no repeat, no hit (the usual case)
     both = np.empty(len(left_idx) + len(right_idx), dtype=np.uint64)
     both[: len(left_idx)] = left[left_idx]
@@ -243,6 +322,16 @@ class SerialBackend:
         # uint64 wrap-around is intended: h(v mod 2^64) == h(v) mod 2^64
         return self.encode(rhs - _right_sums(side[lo:hi], tables)).hashes
 
+    def join_chunks(
+        self, tables, left: RunBlocks, l_span, right: RunBlocks, r_span, rhs,
+        scratch: "JoinScratch", left_h: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`join` of one chunk pair's hashes, as `ParallelBackend`'s, but
+        always of whole sides; `scratch` goes unused."""
+        if left_h is None:
+            left_h = self.left_hashes(tables, left, *l_span)
+        return self.join(left_h, self.right_hashes(tables, right, *r_span, rhs))
+
     def join(
         self, left: np.ndarray, right: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +359,8 @@ class ParallelBackend:
     Pair hashes are summed straight from the run blocks and the tables'
     precomputed hash columns (`RunBlocks.sums`); the right-hand side
     enters only as its hash h(d), taken once per `validate_chunked` call
-    (`rhs`).
+    (`rhs`).  A chunk pair with a side over 2 * `PIECE` pairs is joined
+    streamed (`join_chunks`, see the module docstring).
     """
 
     name = "parallel"
@@ -282,16 +372,79 @@ class ParallelBackend:
         """The right-hand side as `right_hashes` takes it: h(d)."""
         return np.uint64(encode_vector(d.tolist()))
 
-    def left_hashes(self, tables, side: RunBlocks, lo: int, hi: int) -> np.ndarray:
-        return side.sums(tables[0].hashes, tables[1].hashes, lo, hi)
+    def left_hashes(
+        self, tables, side: RunBlocks, lo: int, hi: int, out=None, arange=None
+    ) -> np.ndarray:
+        """Hashes of left pairs lo..hi-1 (into `out`: see `RunBlocks.sums`)."""
+        return side.sums(tables[0].hashes, tables[1].hashes, lo, hi, out, arange)
 
     def right_hashes(
-        self, tables, side: RunBlocks, lo: int, hi: int, rhs: np.uint64
+        self, tables, side: RunBlocks, lo: int, hi: int, rhs: np.uint64,
+        out=None, arange=None,
     ) -> np.ndarray:
-        sums = side.sums(tables[2].hashes, tables[3].hashes, lo, hi)
+        """Hashes of right pairs lo..hi-1 (into `out`, as `left_hashes`)."""
+        sums = side.sums(tables[2].hashes, tables[3].hashes, lo, hi, out, arange)
         return np.subtract(rhs, sums, out=sums)
 
     join = staticmethod(join_hashes)
+
+    def join_chunks(
+        self, tables, left: RunBlocks, l_span, right: RunBlocks, r_span, rhs,
+        scratch: "JoinScratch", left_h: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`join` of the hashes of left pairs l_span = (lo, hi) and right
+        pairs r_span, as positions in the spans; `left_h`, if given, holds
+        the left span's hashes.  A larger side of more than 2 * `PIECE`
+        pairs that is not given hashed is streamed through `scratch` (see
+        the module docstring); each pair is hashed once either way."""
+        (l_lo, l_hi), (r_lo, r_hi) = l_span, r_span
+        n_left, n_right = l_hi - l_lo, r_hi - r_lo
+        if left_h is None and n_left > max(n_right, 2 * PIECE):
+            return _streamed_join(
+                self.right_hashes(tables, right, r_lo, r_hi, rhs), n_left,
+                lambda lo, hi, out, arange: self.left_hashes(
+                    tables, left, l_lo + lo, l_lo + hi, out, arange
+                ),
+                False, scratch,
+            )
+        if left_h is None:
+            left_h = self.left_hashes(tables, left, l_lo, l_hi)
+        if n_right >= n_left and n_right > 2 * PIECE:
+            return _streamed_join(
+                left_h, n_right,
+                lambda lo, hi, out, arange: self.right_hashes(
+                    tables, right, r_lo + lo, r_lo + hi, rhs, out, arange
+                ),
+                True, scratch,
+            )
+        return join_hashes(left_h, self.right_hashes(tables, right, r_lo, r_hi, rhs))
+
+
+class JoinScratch:
+    """One validator's reused buffers for streamed chunk pairs, kept for
+    one solve: a piece's hashes and slots, the bitmap bytes gathered for
+    it and the `np.arange` that `_ranges` adds, `PIECE` entries each.
+    They are allocated by the first streamed chunk pair, so a solve that
+    streams none holds none."""
+
+    def __init__(self):
+        self._buffers: tuple[np.ndarray, ...] | None = None
+
+    def buffers(self) -> tuple[np.ndarray, ...]:
+        """(hashes, slots, gathered marks, arange)."""
+        if self._buffers is None:
+            # one allocation, not four: a large one glibc can map apart
+            # from the heap and its short-lived join arrays; in a bare
+            # (6,50,100) solve loop four took 4-10k minor faults per
+            # pass, one about 900
+            block = np.empty(25 * PIECE, dtype=np.uint8)
+            hashes, slots, arange = (
+                block[8 * PIECE * k : 8 * PIECE * (k + 1)].view(np.uint64) for k in range(3)
+            )
+            arange = arange.view(np.int64)
+            arange[:] = np.arange(PIECE)
+            self._buffers = hashes, slots, block[24 * PIECE :], arange
+        return self._buffers
 
 
 _BACKENDS = {"serial": SerialBackend, "parallel": ParallelBackend}
@@ -378,6 +531,7 @@ def validate_chunked(
     d: np.ndarray | None = None,
     stats: ValidationStats | None = None,
     should_stop: Callable[[], bool] | None = None,
+    scratch: JoinScratch | None = None,
 ) -> list[SolutionVector]:
     """Match a batch in (left chunk, right chunk) pieces of <= chunk_pairs.
 
@@ -386,7 +540,11 @@ def validate_chunked(
     is hashed straight from the batch's run blocks; only hash hits become
     index pairs, for the exact confirmation.  When `should_stop` fires
     the remaining chunk pairs are abandoned, and the caller must treat
-    the batch as unfinished.
+    the batch as unfinished.  Each chunk pair is joined by the backend's
+    `join_chunks`; a left chunk that meets several right chunks is hashed
+    once before them.  `scratch` holds the buffers of streamed chunk
+    pairs (see the module docstring); one is made for the call when none
+    is given, and each of `solve`'s validators passes its own.
 
     Each alpha interval owns the blocks between its block offsets, at
     least one per side, and every block is checked against its interval
@@ -401,6 +559,7 @@ def validate_chunked(
         raise ValueError(f"chunk_pairs must be >= 1, got {chunk_pairs}")
     backend = backend or ParallelBackend()
     stats = stats or ValidationStats()
+    scratch = scratch or JoinScratch()
     if d is None:
         d = permuted_rhs(inst, tables)
     d = np.ascontiguousarray(d, dtype=np.uint64)
@@ -425,10 +584,13 @@ def validate_chunked(
     for ls in range(0, n_left, chunk_pairs):
         l_end = min(ls + chunk_pairs, n_left)
         l_check(ls, l_end)
-        left_h = backend.left_hashes(tables, left, ls, l_end)
         stats.candidates_left += l_end - ls
         # only the right pairs of this chunk's intervals
         r_lo, r_hi = _partner_range(l_edges, r_edges, ls, l_end)
+        # a left chunk that meets several right chunks is hashed once, whole
+        left_h = None
+        if r_hi - r_lo > chunk_pairs:
+            left_h = backend.left_hashes(tables, left, ls, l_end)
         for rs in range(r_lo, r_hi, chunk_pairs):
             if should_stop is not None and should_stop():
                 return _by_alpha(solutions, alphas)
@@ -438,8 +600,8 @@ def validate_chunked(
                 r_check(max(rs, right_done), r_end)
                 stats.candidates_right += r_end - max(rs, right_done)
                 right_done = r_end
-            li, ri = backend.join(
-                left_h, backend.right_hashes(tables, right, rs, r_end, rhs)
+            li, ri = backend.join_chunks(
+                tables, left, (ls, l_end), right, (rs, r_end), rhs, scratch, left_h
             )
             if not len(li):
                 continue
@@ -540,17 +702,39 @@ def _partner_range(
 def default_chunk_pairs(m: int, budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> int:
     """Largest chunk size whose chunk pair fits the budget.
 
-    Per pair of a chunk, each side holds an 8-byte hash and, in the
-    bitmap filters, an 8-byte slot; the bitmap adds at most 16 bytes per
-    pair of the smaller side (eight slots per marked hash, rounded up to
-    a power of two), the larger side's survivor indices and the slots
-    gathered to mark them 16 more: 64.  With slots and bitmap released,
-    the tail holds survivor indices (16), their hashes concatenated (16)
-    with one side gathered (8), and the equality mask (2); pairing them
-    when a value repeats, four 8-byte arrays beside the indices: <= 64.
-    Hashing a side from its blocks briefly needs 16 more bytes
-    per pair beside the hashes, which is less.  The per-block checks run
-    on one chunk's blocks before the chunk is joined and need at most 32
+    A chunk pair joined whole: per pair of a chunk, each side holds an
+    8-byte hash and, in the bitmap filters, an 8-byte slot; the bitmap
+    adds at most 16 bytes per pair of the smaller side (eight slots per
+    marked hash, rounded up to a power of two), the larger side's
+    survivor indices and the slots gathered to mark them 16 more: 64.
+    With slots and bitmap released, the tail holds survivor indices
+    (16), their hashes concatenated (16) with one side gathered (8), and
+    the equality mask (2); pairing them when a value repeats, four
+    8-byte arrays beside the indices: <= 64.  Hashing a side from its
+    blocks briefly needs 16 more bytes per pair beside the hashes, which
+    is less.
+
+    A streamed chunk pair (see the module docstring) holds three parts.
+    The side held whole, the smaller one, holds its hashes, slots and the
+    bitmap: at most 32 bytes per pair.  A piece holds the validator's
+    `JoinScratch`, 25 bytes per piece pair (800 KiB at `PIECE` = 2^15),
+    and while it is hashed from its blocks about 32 bytes per piece pair
+    more (its rows, if each row is one pair, and one gather): 57 *
+    `PIECE` bytes (1.8 MiB) in all, whatever the chunk size.  The larger
+    side's survivors hold a position and a hash, 16 bytes per pair,
+    8 more while they are concatenated and their slots marked.  Random
+    hashes keep about one pair in eight of the larger side; all of them
+    survive only when hashes collide on purpose.  So the filter needs at
+    most 56 bytes per pair of a chunk beside a piece; the 8 left over
+    cover the piece once a chunk holds 7.125 * `PIECE` pairs (a 14.25
+    MiB budget), and below that fall short of it by at most 41 * `PIECE`
+    bytes (1.3 MiB).  The tail is the whole-array tail with the larger
+    side's survivors' hashes in place of its hashes, and their positions
+    held twice, in the side and among the survivors: 8 more bytes per
+    pair of the larger side when all of them survive, 72 at worst.
+
+    The per-block checks run on one chunk's blocks before the chunk is
+    joined and need at most 32
     bytes per block, so per pair, of that chunk (the per-block lower
     bound, the last inner indices, the pair weights and a gathered fixed
     weight; the comparison masks come once the gather is freed); beside

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketsplit import enumerate1d
+from marketsplit import enumerate1d, validate
 from marketsplit.enumerate1d import (
     HASH_SEED,
     CandidateBatch,
@@ -29,7 +30,9 @@ from marketsplit.instances import (
     surrogate_reduce,
 )
 from marketsplit.oracle import brute_force_all
+from marketsplit.solver import SolverConfig, solve
 from marketsplit.validate import (
+    JoinScratch,
     ParallelBackend,
     ResidualSet,
     SerialBackend,
@@ -561,9 +564,10 @@ class TestChunking:
     BUDGET = 2 * 2**20
 
     @staticmethod
-    def _call_peak(batch, tables, inst, chunk):
-        """tracemalloc peak of one `validate_chunked` call."""
-        backend, d = ParallelBackend(), permuted_rhs(inst, tables)
+    def _call_peak(batch, tables, inst, chunk, backend=None):
+        """tracemalloc peak of one `validate_chunked` call, which builds
+        its `JoinScratch` inside the traced call."""
+        backend, d = backend or ParallelBackend(), permuted_rhs(inst, tables)
         tracemalloc.start()
         try:
             validate_chunked(batch, tables, inst, chunk, backend, d)
@@ -638,6 +642,19 @@ class TestChunking:
         assert batch.n_left > chunk and batch.n_right > chunk
         assert 0 < self._call_peak(batch, tables, inst, chunk) <= self.BUDGET
 
+    def test_streamed_call_peaks_within_memory_budget(self):
+        # a 16 MiB budget's chunk holds the largest batch whole, so its
+        # larger side is streamed in pieces (a 2 MiB chunk never is)
+        inst, tables, batch = self._largest_m6_batch()
+        budget = 16 * 2**20
+        chunk = default_chunk_pairs(inst.m, budget)
+        assert batch.n_left + batch.n_right <= chunk
+        spy = HashCounter()
+        assert 0 < self._call_peak(batch, tables, inst, chunk, spy) <= budget
+        pieces = [hi - lo for lo, hi in spy.ranges["left"]]
+        assert batch.n_left > batch.n_right and len(pieces) > 1
+        assert max(pieces) == validate.PIECE and sum(pieces) == batch.n_left
+
     def test_chunk_pairs_validated(self):
         inst = seeded_instance(44, m=2, n=10, k=9)
         tables = build_quarter_tables(inst)
@@ -645,6 +662,134 @@ class TestChunking:
         batch = enum.next_batch()
         with pytest.raises(ValueError):
             validate_chunked(batch, tables, inst, 0)
+
+
+class HashCounter(ParallelBackend):
+    """The production backend, recording the pair ranges it hashes."""
+
+    def __init__(self):
+        super().__init__()
+        self.ranges = {"left": [], "right": []}
+
+    def left_hashes(self, tables, side, lo, hi, out=None, arange=None):
+        self.ranges["left"].append((lo, hi))
+        return super().left_hashes(tables, side, lo, hi, out, arange)
+
+    def right_hashes(self, tables, side, lo, hi, rhs, out=None, arange=None):
+        self.ranges["right"].append((lo, hi))
+        return super().right_hashes(tables, side, lo, hi, rhs, out, arange)
+
+    def times_hashed(self, side: str, n: int) -> np.ndarray:
+        """How often each of a side's n pairs was hashed."""
+        delta = np.zeros(n + 1, dtype=np.int64)
+        for lo, hi in self.ranges[side]:
+            delta[lo] += 1
+            delta[hi] -= 1
+        return delta.cumsum()[:-1]
+
+
+def _hash_side(values, long_rows: bool) -> tuple[RunBlocks, SimpleNamespace, SimpleNamespace]:
+    """A batch side whose pair hashes are `values`, with its inner and
+    fixed tables (hash columns only): one row of every pair, or one-pair
+    blocks."""
+    n = len(values)
+    if long_rows:
+        blocks = RunBlocks(*(np.array(f, dtype=np.int64) for f in ([0], [n], [0], [1])))
+    else:
+        blocks = RunBlocks.from_pairs(np.column_stack((np.arange(n), np.zeros(n))))
+    tables = SimpleNamespace(hashes=np.array(values, dtype=np.uint64))
+    return blocks, tables, SimpleNamespace(hashes=np.zeros(1, dtype=np.uint64))
+
+
+# values equal to each other, or with equal low bits only
+_SHARED = [7, 7 + 2**63, 7 + 2**40, 12345 << 24, 0]
+
+
+class TestStreamedJoin:
+    """A chunk pair whose larger side is hashed and filtered in pieces."""
+
+    @given(
+        left=st.lists(st.one_of(u64, st.sampled_from(_SHARED)), max_size=60),
+        right=st.lists(st.one_of(u64, st.sampled_from(_SHARED)), max_size=60),
+        cut=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        long_rows=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_whole_array_join(self, left, right, cut, long_rows):
+        # positions start at `cut` pairs into each side; the right side
+        # hashes to 0 minus its sums
+        neg_right = [(-v) % 2**64 for v in right]
+        l_side, ta, tb = _hash_side([1] * cut[0] + left, long_rows)
+        r_side, tc, td = _hash_side([1] * cut[1] + neg_right, not long_rows)
+        spans = (cut[0], cut[0] + len(left)), (cut[1], cut[1] + len(right))
+        expected = join_hashes(np.array(left, dtype=np.uint64), np.array(right, dtype=np.uint64))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(validate, "PIECE", 7)
+            got = ParallelBackend().join_chunks(
+                (ta, tb, tc, td), l_side, spans[0], r_side, spans[1], np.uint64(0),
+                JoinScratch(),
+            )
+        assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+        assert all(a.dtype == np.int64 for a in got)
+
+    @pytest.mark.parametrize("m, seed, mode", [(6, 5, "first"), (5, 1, "all")])
+    def test_small_pieces_solve_alike(self, monkeypatch, m, seed, mode):
+        # every chunk pair over 2^11 pairs on a side is streamed
+        inst = generate_instance(m, 100, seed)
+        cfg = SolverConfig(mode=mode, worker_count=1)
+
+        def outcome():
+            result = solve(inst, cfg)
+            counters = {
+                k: v for k, v in dataclasses.asdict(result.stats).items() if not k.startswith("t_")
+            }
+            return result.solutions, counters
+
+        whole = outcome()
+        monkeypatch.setattr(validate, "PIECE", 2**10)
+        assert outcome() == whole
+        assert whole[0]
+
+    @pytest.mark.parametrize("piece", [2**8, 2**15])
+    def test_each_pair_hashed_once_per_left_chunk(self, monkeypatch, piece):
+        # a one-alpha batch cut into chunks so that each left chunk meets
+        # three right chunks (streamed at 2^8, the last not), and the
+        # largest batch whole (its larger left side streamed at 2^15);
+        # the parent's hash work in both
+        monkeypatch.setattr(validate, "PIECE", piece)
+        inst, tables, batches = TestChunking._m6_batches()
+        batch = max(batches, key=lambda b: b.n_left + b.n_right)
+        chunk = default_chunk_pairs(inst.m)
+        if piece < 2**15:
+            batch = max(batch.per_alpha(tables), key=lambda b: b.n_right)
+            chunk = batch.n_right * 2 // 5
+            assert chunk > 2 * piece and batch.n_left > 2 * chunk
+        assert batch.n_left > 2 * piece
+        spy = HashCounter()
+        validate_chunked(batch, tables, inst, chunk, spy)
+        n_chunks = -(-batch.n_left // chunk)
+        assert (spy.times_hashed("left", batch.n_left) == 1).all()
+        if piece < 2**15:  # one interval: each left chunk meets every right pair
+            assert (spy.times_hashed("right", batch.n_right) == n_chunks).all()
+            assert len(spy.ranges["right"]) > 3 * n_chunks  # pieces
+        else:
+            assert n_chunks == 1 and len(spy.ranges["left"]) > 1
+            assert (spy.times_hashed("right", batch.n_right) == 1).all()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_block_past_its_table_raises_before_hashing(self, side):
+        inst, tables, batch = TestChunking._largest_m6_batch()
+        assert batch.n_left > 2 * validate.PIECE
+        field = "left_pairs" if side == "left" else "right_pairs"
+        blocks = getattr(batch, field)
+        inner = tables[0] if side == "left" else tables[2]
+        b = int(np.argmax(blocks.inner_start))
+        grown = inner.size - int(blocks.inner_start[b]) + 1
+        bad = dataclasses.replace(batch, **{field: _moved(blocks, "inner_len", b, grown)})
+        spy = HashCounter()
+        with pytest.raises(AssertionError, match=f"{side} run block runs past its inner table"):
+            validate_chunked(bad, tables, inst, default_chunk_pairs(inst.m), spy)
+        assert spy.ranges == {"left": [], "right": []}
 
 
 def _window_batches(inst, window=None):

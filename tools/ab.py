@@ -27,7 +27,8 @@ tree's median and quartiles of the round times and its median minor
 page faults per round (`resource.getrusage`; a change in how long large
 arrays live can move wall time through the allocator returning memory
 to the system and faulting it back in), and the median and
-interquartile range of the per-round ratios change / parent.  A last,
+interquartile range of the per-round ratios change / parent, with a
+note when that median is within `NOISE` of 1.  A last,
 untimed pass solves each seed once per tree under `tracemalloc` and
 reports each tree's traced peak per seed: the resident-set peak that
 perfbench reports cannot be split between two trees in one process,
@@ -57,6 +58,11 @@ import tracemalloc
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+#: A median ratio this close to 1 is no verdict: two near-identical
+#: trees have read 0.977 (9/10 rounds) and 1.030 (2/10) on the same
+#: batches, depending on the allocator settings.
+NOISE = 0.03
 
 #: glibc tunables set by `--allocator-neutral`: trim only above 1 GiB of
 #: free heap top, and serve requests below 32 MiB from the heap.
@@ -132,6 +138,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def report_ratios(ratios: list[float]) -> None:
+    """Print the median, quartiles and win count of the per-round ratios
+    change / parent, and a note when the median is within `NOISE` of 1."""
+    q1, q2, q3 = quartiles(ratios)
+    wins = sum(x < 1 for x in ratios)
+    print(
+        f" ratio: median {q2:.3f}  IQR {q3 - q1:.3f}  (quartiles {q1:.3f}, {q3:.3f}); "
+        f"change faster in {wins}/{len(ratios)} rounds"
+    )
+    if abs(q2 - 1) <= NOISE:
+        print("within in-process noise; confirm with alternating perfbench pairs")
 
 
 def parse_args(argv):
@@ -266,12 +285,7 @@ def main(argv=None) -> int:
             low, high = min(t[i] for t in tree.changed), max(t[i] for t in tree.changed)
             totals.append(f"{low}" if low == high else f"{low}–{high}")
         print(f"{name}: parent {totals[0]}, change {totals[1]} (per round, all seeds)")
-    q1, q2, q3 = quartiles(ratios)
-    wins = sum(x < 1 for x in ratios)
-    print(
-        f" ratio: median {q2:.3f}  IQR {q3 - q1:.3f}  (quartiles {q1:.3f}, {q3:.3f}); "
-        f"change faster in {wins}/{len(ratios)} rounds"
-    )
+    report_ratios(ratios)
     peaks = [
         f"{tree.label} " + ", ".join(
             f"s{seed} {peak / 2**20:.2f}" for seed, peak in zip(seeds, tree.traced_peaks())
